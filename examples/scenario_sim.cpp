@@ -3,7 +3,7 @@
 //
 //   $ ./scenario_sim [file.scn]
 //
-// The scenario language (net/scenario.hpp) declares routers, links,
+// The scenario language (docs/SCENARIO.md) declares routers, links,
 // LSPs (explicit, CSPF, PHP, merged, tunnelled), traffic flows and
 // failure events — the whole library driven from a text file.
 #include <cstdio>
@@ -70,7 +70,10 @@ int main(int argc, char** argv) {
   }
 
   const auto result = empls::core::ScenarioRunner::run_text(text);
+  // Flush the banner and report before each stderr line, so a piped
+  // stdout still reads in order with it.
   if (const auto* err = std::get_if<empls::net::ScenarioError>(&result)) {
+    std::fflush(stdout);
     std::fprintf(stderr, "scenario error at line %d: %s\n", err->line,
                  err->message.c_str());
     return 1;
@@ -78,6 +81,7 @@ int main(int argc, char** argv) {
   const auto& report = std::get<empls::core::ScenarioRunner::Report>(result);
   std::printf("%s", report.to_string().c_str());
   if (!report.expects_passed()) {
+    std::fflush(stdout);
     std::fprintf(stderr, "SLO violated: one or more expect directives "
                          "failed (see the slo: section above)\n");
     return 1;

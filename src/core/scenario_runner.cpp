@@ -59,8 +59,10 @@ std::unique_ptr<sw::LabelEngine> make_engine(const std::string& kind) {
   return std::make_unique<sw::LinearEngine>();
 }
 
-net::ScenarioError semantic_error(std::string message) {
-  return net::ScenarioError{0, std::move(message)};
+/// A failure tied to no directive (an output file that cannot be
+/// written) reports line 0.
+net::ScenarioError semantic_error(std::string message, int line = 0) {
+  return net::ScenarioError{line, std::move(message)};
 }
 
 bool check_op(double lhs, net::ExpectDecl::Op op, double rhs) {
@@ -188,12 +190,11 @@ std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
 
   // Event-domain partitioning (net/domain.hpp), before anything is
   // scheduled so every first event can anchor on its node's queue.
-  // Some directives force a downgrade: anything that schedules
-  // control-plane work onto the main queue mid-run (faults, OAM,
-  // autorepair, protection, attacks) touches other domains' links and
+  // Some directives force a downgrade: the control-plane ones
+  // (Scenario::control_plane(), recorded by the parse) schedule work
+  // onto the main queue mid-run that touches other domains' links and
   // nodes, which only the deterministic merge's synchronised clocks
-  // make safe; and the hop tracer keys journeys by packet address,
-  // which a boundary handoff changes, so tracing forces one domain.
+  // make safe.
   std::size_t domains = scenario.domains;
   net::SyncMode sync = scenario.sync;
   std::string domain_note;
@@ -207,12 +208,8 @@ std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
     }
     domain_note += note;
   };
-  const bool needs_deterministic =
-      !scenario.link_events.empty() || !scenario.flaps.empty() ||
-      !scenario.crashes.empty() || !scenario.corruptions.empty() ||
-      !scenario.oam_probes.empty() || !scenario.attacks.empty() ||
-      scenario.autorepair_hello.has_value() || scenario.protect;
-  if (domains > 1 && sync == net::SyncMode::kFree && needs_deterministic) {
+  if (domains > 1 && sync == net::SyncMode::kFree &&
+      scenario.control_plane()) {
     sync = net::SyncMode::kDeterministic;
     add_note("sync downgraded to deterministic: control-plane directives");
   }
@@ -289,7 +286,8 @@ std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
     }
     const auto tunnel = cp.establish_tunnel(path);
     if (!tunnel) {
-      return semantic_error("tunnel could not be established: " + decl.name);
+      return semantic_error("tunnel could not be established: " + decl.name,
+                            decl.line);
     }
     tunnels.emplace(decl.name, *tunnel);
     ++report.tunnels_established;
@@ -313,8 +311,9 @@ std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
       lsp = cp.establish_lsp(path, decl.fec, options);
     }
     if (!lsp) {
-      return semantic_error("lsp could not be established for " +
-                            decl.fec.to_string());
+      return semantic_error(
+          "lsp could not be established for " + decl.fec.to_string(),
+          decl.line);
     }
     lsp_ids.push_back(*lsp);
     ++report.lsps_established;
@@ -322,7 +321,7 @@ std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
   for (const auto& decl : scenario.tunnel_lsps) {
     const auto it = tunnels.find(decl.tunnel);
     if (it == tunnels.end()) {
-      return semantic_error("unknown tunnel: " + decl.tunnel);
+      return semantic_error("unknown tunnel: " + decl.tunnel, decl.line);
     }
     std::vector<net::NodeId> pre;
     std::vector<net::NodeId> post;
@@ -334,8 +333,10 @@ std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
     }
     if (!cp.establish_lsp_via_tunnel(pre, it->second, post, decl.fec,
                                      decl.bw)) {
-      return semantic_error("lsp-via-tunnel could not be established for " +
-                            decl.fec.to_string());
+      return semantic_error(
+          "lsp-via-tunnel could not be established for " +
+              decl.fec.to_string(),
+          decl.line);
     }
     ++report.lsps_established;
   }

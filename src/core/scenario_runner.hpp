@@ -140,8 +140,12 @@ class ScenarioRunner {
     [[nodiscard]] std::string to_string() const;
   };
 
-  /// Build and run `scenario`.  ScenarioError (line 0) on semantic
-  /// failures such as an LSP that cannot be established.
+  /// Build and run `scenario`.  ScenarioError on semantic failures: an
+  /// LSP, tunnel or tunnelled LSP that cannot be established (or names
+  /// an unknown tunnel) reports its directive's line; an output file
+  /// that cannot be written reports line 0.  A partitioned free run is
+  /// downgraded to sync=deterministic when the parse recorded a
+  /// control-plane directive (Scenario::control_plane()).
   static std::variant<Report, net::ScenarioError> run(
       const net::Scenario& scenario);
 

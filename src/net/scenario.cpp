@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <charconv>
+#include <functional>
+#include <initializer_list>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "net/domain.hpp"
 
@@ -120,942 +124,733 @@ bool Scenario::has_router(const std::string& name) const {
                      [&](const RouterDecl& r) { return r.name == name; });
 }
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::size_t kMany = std::numeric_limits<std::size_t>::max();
+
+/// How a numeric argument is spelled: plain number, time (ms/us/ns/s
+/// suffixes) or rate (k/M/G suffixes; also bandwidths and clocks).
+enum Unit : std::uint8_t { kNumber, kTime, kRate };
+
+/// The values a numeric argument accepts.  Written as rejections
+/// (`v < lo`, `v > hi`) so NaN passes, as it always has.
+struct Range {
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;  // lo itself is rejected
+  bool integer = false;  // the value must convert to the field exactly
+};
+
+constexpr Range kAny{};
+constexpr Range kNonNegative{.lo = 0};
+constexpr Range kPositive{.lo = 0, .lo_open = true};
+constexpr Range kAtLeastOne{.lo = 1};
+constexpr Range kCos{.lo = 0, .hi = 7};
+constexpr Range kFraction{.lo = 0, .hi = 1};
+
+struct Option;
+
+}  // namespace
+
+struct ScenarioParser {
+  Scenario& s;
+  std::string_view directive{};     // the directive being parsed ...
+  int line = 0;                     // ... its source line ...
+  std::vector<std::string> args{};  // ... and its arguments
+  std::string error{};
+  int sample_line = 0;  // where `sample` / `timeline` were declared, for
+  int timeline_line = 0;  // the cross-directive checks after the last line
+
+  bool fail(std::string message) {
+    error = std::move(message);
+    return false;
+  }
+
+  /// `text` as a number in `unit`, range-checked, into `out`.
+  template <typename T>
+  bool value(std::string_view what, const std::string& text, Unit unit,
+             Range range, T& out) {
+    const std::optional<double> v = unit == kTime   ? parse_time(text)
+                                    : unit == kRate ? parse_bandwidth(text)
+                                                    : parse_number(text);
+    bool ok = v && !(*v < range.lo || *v > range.hi ||
+                     (range.lo_open && *v <= range.lo));
+    if constexpr (std::is_integral_v<T>) {
+      ok = ok && !(range.integer &&
+                   *v != static_cast<double>(static_cast<T>(*v)));
+    }
+    if (!ok) {
+      return fail("bad " + std::string(what) + ": " + text);
+    }
+    out = static_cast<T>(*v);
+    return true;
+  }
+
+  /// `text` as the index of one of `names`; the error lists them.
+  bool pick(const std::string& text, std::string_view what,
+            std::initializer_list<std::string_view> names, std::size_t& out) {
+    const auto it = std::find(names.begin(), names.end(), text);
+    if (it == names.end()) {
+      std::string message = "unknown " + std::string(what) + ": " + text;
+      for (const std::string_view& n : names) {
+        message += &n == names.begin() ? " (" : "|";
+        message += n;
+      }
+      return fail(message + ")");
+    }
+    out = static_cast<std::size_t>(it - names.begin());
+    return true;
+  }
+
+  /// `name` must be a router declared on an earlier line.
+  bool router(const std::string& name, std::string& out) {
+    if (!s.has_router(name)) {
+      return fail(std::string(directive) +
+                  " references undeclared router: " + name);
+    }
+    out = name;
+    return true;
+  }
+
+  bool address(const std::string& text, std::string& out) {
+    if (!mpls::Ipv4Address::parse(text)) {
+      return fail("bad destination address: " + text);
+    }
+    out = text;
+    return true;
+  }
+
+  bool prefix(const std::string& text, mpls::Prefix& out) {
+    const auto fec = mpls::Prefix::parse(text);
+    if (!fec) {
+      return fail("bad prefix: " + text);
+    }
+    out = *fec;
+    return true;
+  }
+
+  /// `<path>|off`: "off" clears the path.
+  bool path(std::string& out) {
+    out = args[0] == "off" ? "" : args[0];
+    return true;
+  }
+
+  /// `token` as one of `opts`: a `key=value` option or a bare flag.
+  bool option(const std::string& token, std::initializer_list<Option> opts);
+
+  /// args[first..] as options.
+  bool options(std::size_t first, std::initializer_list<Option> opts) {
+    for (std::size_t i = first; i < args.size(); ++i) {
+      if (!option(args[i], opts)) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+namespace {
+
+/// One `key=value` option of a directive, or a bare flag word.
+struct Option {
+  std::string_view key;
+  std::function<bool(ScenarioParser&, const std::string& value)> set;
+  bool flag = false;
+};
+
+template <typename T>
+Option opt(std::string_view key, Unit unit, T& field, Range range = kAny) {
+  return {key, [key, unit, range, &field](ScenarioParser& p,
+                                          const std::string& v) {
+            return p.value(key, v, unit, range, field);
+          }};
+}
+
+Option flag(std::string_view key, bool& field) {
+  return {key,
+          [&field](ScenarioParser&, const std::string&) {
+            field = true;
+            return true;
+          },
+          true};
+}
+
+Option on_off(std::string_view key, bool& field) {
+  return {key, [key, &field](ScenarioParser& p, const std::string& v) {
+            std::size_t k = 0;
+            if (!p.pick(v, key, {"on", "off"}, k)) {
+              return false;
+            }
+            field = k == 0;
+            return true;
+          }};
+}
+
+}  // namespace
+
+bool ScenarioParser::option(const std::string& token,
+                            std::initializer_list<Option> opts) {
+  const auto kv = split_option(token);
+  const auto it = std::find_if(opts.begin(), opts.end(), [&](const auto& o) {
+    return o.flag == !kv && o.key == (kv ? kv->first : token);
+  });
+  if (it == opts.end()) {
+    return fail("unknown " + std::string(directive) + " option: " + token);
+  }
+  return it->set(*this, kv ? kv->second : token);
+}
+
+namespace {
+
+bool parse_qos(ScenarioParser& p) {
+  for (const std::string& t : p.args) {
+    if (t == "strict") {
+      p.s.qos.scheduler = SchedulerKind::kStrictPriority;
+    } else if (t == "fifo") {
+      p.s.qos.scheduler = SchedulerKind::kFifo;
+    } else if (t == "wrr") {
+      p.s.qos.scheduler = SchedulerKind::kWeightedRoundRobin;
+    } else if (t == "red") {
+      p.s.qos.drop = DropPolicy::kRed;
+    } else if (const auto kv = split_option(t); kv && kv->first == "capacity") {
+      if (!p.value("qos capacity", kv->second, kNumber, kAtLeastOne,
+                   p.s.qos.queue_capacity)) {
+        return false;
+      }
+    } else {
+      return p.fail("unknown qos option: " + t);
+    }
+  }
+  return true;
+}
+
+bool parse_scheduler(ScenarioParser& p) {
+  std::size_t k = 0;
+  if (!p.pick(p.args[0], "scheduler", {"heap", "calendar"}, k)) {
+    return false;
+  }
+  p.s.scheduler =
+      k == 0 ? SchedulerBackend::kHeap : SchedulerBackend::kCalendar;
+  return true;
+}
+
+bool parse_domains(ScenarioParser& p) {
+  if (p.args[0] == "auto") {
+    p.s.domains = 0;  // resolved to the hardware thread count at run
+    return true;
+  }
+  return p.value("domains (want 1..256 or auto)", p.args[0], kNumber,
+                 {.lo = 1, .hi = 256, .integer = true}, p.s.domains);
+}
+
+bool parse_sync(ScenarioParser& p) {
+  std::size_t k = 0;
+  if (!p.pick(p.args[0], "sync mode", {"deterministic", "free"}, k)) {
+    return false;
+  }
+  p.s.sync = k == 0 ? SyncMode::kDeterministic : SyncMode::kFree;
+  return true;
+}
+
+bool parse_expect(ScenarioParser& p) {
+  const auto& a = p.args;
+  ExpectDecl e;
+  std::size_t op = 0;
+  if (!p.pick(a[1], "expect op", {"<", "<=", ">", ">=", "==", "!="}, op) ||
+      !p.value("expect value", a[2], kNumber, kAny, e.value)) {
+    return false;
+  }
+  e.metric = a[0];
+  e.op = static_cast<ExpectDecl::Op>(op);  // names listed in enum order
+  e.line = p.line;
+  e.source = a[0] + " " + a[1] + " " + a[2];
+  if (a.size() > 3) {
+    const std::string window = a.size() == 5 ? a[4] : "";
+    const auto dots = window.find("..");
+    if (a[3] != "during" || dots == std::string::npos) {
+      return p.fail("expect window needs: during <t0>..<t1>");
+    }
+    if (!p.value("window start", window.substr(0, dots), kTime, kAny, e.t0) ||
+        !p.value("window end", window.substr(dots + 2), kTime, kAny, e.t1)) {
+      return false;
+    }
+    if (e.t1 < e.t0) {
+      return p.fail("bad expect window: " + window);
+    }
+    e.windowed = true;
+    e.source += " during " + window;
+  }
+  p.s.expects.push_back(std::move(e));
+  return true;
+}
+
+bool parse_router(ScenarioParser& p) {
+  RouterDecl r;
+  r.name = p.args[0];
+  std::size_t type = 0;
+  // engine: linear|hash|cam|simd|trie|hw or sharded:<N>[:simd|:trie].
+  const auto engine = [&r](ScenarioParser& p, const std::string& v) {
+    if (v.rfind("sharded:", 0) == 0) {
+      std::string count = v.substr(8);
+      std::string replica = "simd";
+      if (const auto colon = count.find(':'); colon != std::string::npos) {
+        replica = count.substr(colon + 1);
+        count.resize(colon);
+      }
+      unsigned shards = 0;
+      std::size_t k = 0;
+      if (!p.value("sharded engine count (want 1..64)", count, kNumber,
+                   {.lo = 1, .hi = 64, .integer = true}, shards) ||
+          !p.pick(replica, "sharded replica", {"simd", "trie"}, k)) {
+        return false;
+      }
+    } else if (std::size_t k = 0;
+               !p.pick(v, "engine",
+                       {"linear", "hash", "cam", "simd", "trie", "hw"}, k)) {
+      return false;
+    }
+    r.engine = v;
+    return true;
+  };
+  const auto cache = [&r](ScenarioParser& p, const std::string& v) {
+    r.cache = 0;
+    return v == "off" ||
+           p.value("cache size (want 1..1048576 or off)", v, kNumber,
+                   {.lo = 1, .hi = 1048576, .integer = true}, r.cache);
+  };
+  if (!p.pick(p.args[1], "router type", {"ler", "lsr"}, type) ||
+      !p.options(2, {{"engine", engine},
+                     {"cache", cache},
+                     opt("batch", kNumber, r.batch, {.lo = 1, .hi = 4096}),
+                     opt("clock", kRate, r.clock_hz)})) {
+    return false;
+  }
+  r.is_ler = type == 0;
+  if (p.s.has_router(r.name)) {
+    return p.fail("duplicate router: " + r.name);
+  }
+  p.s.routers.push_back(std::move(r));
+  return true;
+}
+
+bool parse_link(ScenarioParser& p) {
+  LinkDecl l;
+  if (!p.router(p.args[0], l.a) || !p.router(p.args[1], l.b) ||
+      !p.value("bandwidth", p.args[2], kRate, kAny, l.bandwidth_bps) ||
+      !p.value("delay", p.args[3], kTime, kAny, l.delay)) {
+    return false;
+  }
+  p.s.links.push_back(std::move(l));
+  return true;
+}
+
+/// `lsp` and `lsp-cspf`: a prefix, then nodes, flags and `bw=` in any
+/// order.
+bool parse_lsp(ScenarioParser& p) {
+  LspDecl l;
+  l.cspf = p.directive == "lsp-cspf";
+  l.line = p.line;
+  if (!p.prefix(p.args[0], l.fec)) {
+    return false;
+  }
+  for (std::size_t i = 1; i < p.args.size(); ++i) {
+    const std::string& t = p.args[i];
+    if (t == "php" || t == "merge") {
+      (t == "php" ? l.php : l.merge) = true;
+    } else if (split_option(t)) {
+      if (!p.option(t, {opt("bw", kRate, l.bw)})) {
+        return false;
+      }
+    } else if (!p.router(t, l.path.emplace_back())) {
+      return false;
+    }
+  }
+  if (l.path.size() < 2) {
+    return p.fail("lsp needs at least two nodes");
+  }
+  if (l.cspf && l.path.size() != 2) {
+    return p.fail("lsp-cspf takes exactly ingress and egress");
+  }
+  p.s.lsps.push_back(std::move(l));
+  return true;
+}
+
+bool parse_tunnel(ScenarioParser& p) {
+  TunnelDecl t;
+  t.name = p.args[0];
+  t.line = p.line;
+  for (std::size_t i = 1; i < p.args.size(); ++i) {
+    if (!p.router(p.args[i], t.path.emplace_back())) {
+      return false;
+    }
+  }
+  p.s.tunnels.push_back(std::move(t));
+  return true;
+}
+
+bool parse_lsp_via_tunnel(ScenarioParser& p) {
+  LspViaTunnelDecl l;
+  l.line = p.line;
+  if (!p.prefix(p.args[0], l.fec)) {
+    return false;
+  }
+  std::vector<std::string>* section = nullptr;  // pre or post nodes
+  for (std::size_t i = 1; i < p.args.size(); ++i) {
+    const std::string& t = p.args[i];
+    if (t == "pre" || t == "post") {
+      section = t == "pre" ? &l.pre : &l.post;
+    } else if (t == "tunnel") {
+      if (i + 1 >= p.args.size()) {
+        return p.fail("tunnel section needs a name");
+      }
+      l.tunnel = p.args[++i];
+      section = nullptr;
+    } else if (split_option(t)) {
+      if (!p.option(t, {opt("bw", kRate, l.bw)})) {
+        return false;
+      }
+    } else if (section == nullptr) {
+      return p.fail("unexpected token: " + t);
+    } else if (!p.router(t, section->emplace_back())) {
+      return false;
+    }
+  }
+  if (l.pre.empty() || l.post.empty() || l.tunnel.empty()) {
+    return p.fail("lsp-via-tunnel needs pre nodes, a tunnel and post nodes");
+  }
+  p.s.tunnel_lsps.push_back(std::move(l));
+  return true;
+}
+
+bool parse_flow(ScenarioParser& p) {
+  const auto& a = p.args;
+  FlowDecl f;
+  std::size_t kind = 0;
+  if (!p.pick(a[0], "flow kind", {"cbr", "poisson", "video", "onoff"},
+              kind) ||
+      !p.value("flow id", a[1], kNumber, kNonNegative, f.id) ||
+      !p.router(a[2], f.ingress) || !p.address(a[3], f.dst) ||
+      !p.options(4, {opt("cos", kNumber, f.cos, kCos),
+                     opt("size", kNumber, f.size, kNonNegative),
+                     opt("start", kTime, f.start),
+                     opt("stop", kTime, f.stop),
+                     opt("interval", kTime, f.interval, kPositive),
+                     opt("rate", kNumber, f.rate, kPositive),
+                     opt("seed", kNumber, f.seed),
+                     opt("fps", kNumber, f.fps, kPositive),
+                     opt("ppf", kNumber, f.ppf, kAtLeastOne),
+                     opt("on", kTime, f.mean_on, kPositive),
+                     opt("off", kTime, f.mean_off, kPositive)})) {
+    return false;
+  }
+  f.kind = a[0];
+  p.s.flows.push_back(std::move(f));
+  return true;
+}
+
+/// `fail` and `restore`.
+bool parse_link_event(ScenarioParser& p) {
+  LinkEventDecl e;
+  if (!p.value("time", p.args[0], kTime, kAny, e.at) ||
+      !p.router(p.args[1], e.a) || !p.router(p.args[2], e.b)) {
+    return false;
+  }
+  e.up = p.directive == "restore";
+  p.s.link_events.push_back(std::move(e));
+  return true;
+}
+
+bool parse_flap(ScenarioParser& p) {
+  FlapDecl f;
+  if (!p.value("time", p.args[0], kTime, kAny, f.at) ||
+      !p.router(p.args[1], f.a) || !p.router(p.args[2], f.b) ||
+      !p.value("flap duration", p.args[3], kTime, kPositive, f.down_for)) {
+    return false;
+  }
+  p.s.flaps.push_back(std::move(f));
+  return true;
+}
+
+bool parse_crash(ScenarioParser& p) {
+  CrashDecl c;
+  if (!p.value("time", p.args[0], kTime, kAny, c.at) ||
+      !p.router(p.args[1], c.node) ||
+      !p.options(2, {opt("for", kTime, c.duration, kPositive)})) {
+    return false;
+  }
+  p.s.crashes.push_back(std::move(c));
+  return true;
+}
+
+bool parse_corrupt(ScenarioParser& p) {
+  CorruptDecl c;
+  if (!p.value("time", p.args[0], kTime, kAny, c.at) ||
+      !p.router(p.args[1], c.node) ||
+      !p.options(2, {opt("salt", kNumber, c.salt, kNonNegative),
+                     opt("resync", kTime, c.resync, kPositive)})) {
+    return false;
+  }
+  p.s.corruptions.push_back(std::move(c));
+  return true;
+}
+
+bool parse_police(ScenarioParser& p) {
+  Scenario::PolicerDecl d;
+  if (!p.router(p.args[0], d.ingress) ||
+      !p.value("flow id", p.args[1], kNumber, kNonNegative, d.flow_id) ||
+      !p.value("rate", p.args[2], kRate, kAny, d.rate_bps) ||
+      !p.options(3, {opt("burst", kNumber, d.burst_bytes, kPositive),
+                     flag("demote", d.demote)})) {
+    return false;
+  }
+  p.s.policers.push_back(std::move(d));
+  return true;
+}
+
+bool parse_loadgen(ScenarioParser& p) {
+  const auto& a = p.args;
+  LoadGenDecl g;
+  std::size_t kind = 0;
+  if (!p.pick(a[0], "loadgen arrivals", {"poisson", "mmpp"}, kind) ||
+      !p.router(a[1], g.ingress) || !p.address(a[2], g.dst) ||
+      !p.options(3, {opt("rate", kRate, g.rate_pps, kPositive),
+                     opt("burst-rate", kRate, g.burst_rate_pps, kNonNegative),
+                     opt("sojourn", kTime, g.sojourn, kPositive),
+                     opt("flows", kNumber, g.flows, {.lo = 1, .hi = 16e6}),
+                     opt("alpha", kNumber, g.alpha, kPositive),
+                     opt("minpkts", kNumber, g.min_packets, kAtLeastOne),
+                     opt("cos", kNumber, g.cos, kCos),
+                     opt("size", kNumber, g.size, kNonNegative),
+                     opt("seed", kNumber, g.seed),
+                     opt("start", kTime, g.start),
+                     opt("stop", kTime, g.stop)})) {
+    return false;
+  }
+  g.kind = a[0];
+  p.s.loadgens.push_back(std::move(g));
+  return true;
+}
+
+bool parse_attack(ScenarioParser& p) {
+  const auto& a = p.args;
+  AttackDecl d;
+  const auto dst = [&d](ScenarioParser& p, const std::string& v) {
+    return p.address(v, d.dst);
+  };
+  std::size_t kind = 0;
+  if (!p.pick(a[0], "attack kind",
+              {"spoof", "ttl_flood", "reserved", "exhaust"}, kind) ||
+      !p.value("time", a[1], kTime, kAny, d.at) ||
+      !p.router(a[2], d.ingress) ||
+      !p.options(3, {opt("rate", kRate, d.rate_pps, kPositive),
+                     opt("for", kTime, d.duration, kPositive),
+                     opt("seed", kNumber, d.seed),
+                     {"dst", dst},
+                     opt("cos", kNumber, d.cos, kCos)})) {
+    return false;
+  }
+  d.kind = a[0];
+  p.s.attacks.push_back(std::move(d));
+  return true;
+}
+
+bool parse_guard(ScenarioParser& p) {
+  GuardDecl g;
+  GuardConfig& c = g.config;
+  c.enabled = true;
+  g.router = p.args[0];
+  if ((g.router != "*" && !p.router(p.args[0], g.router)) ||
+      !p.options(1, {opt("ttl", kRate, c.ttl_expiry_pps),
+                     opt("reprogram", kRate, c.reprogram_per_s),
+                     opt("demote", kNumber, c.demote_occupancy, kFraction),
+                     opt("shed", kNumber, c.shed_occupancy, kFraction),
+                     opt("maxcos", kNumber, c.demote_cos_max, kCos),
+                     on_off("reserved", c.check_reserved),
+                     on_off("spoof", c.check_spoof)})) {
+    return false;
+  }
+  p.s.guards.push_back(std::move(g));
+  return true;
+}
+
+/// `ping` and `traceroute`.
+bool parse_oam(ScenarioParser& p) {
+  OamDecl o;
+  if (!p.value("time", p.args[0], kTime, kAny, o.at) ||
+      !p.router(p.args[1], o.ingress) || !p.address(p.args[2], o.dst)) {
+    return false;
+  }
+  o.traceroute = p.directive == "traceroute";
+  p.s.oam_probes.push_back(std::move(o));
+  return true;
+}
+
+bool parse_autorepair(ScenarioParser& p) {
+  return p.value("hello interval", p.args[0], kTime, kPositive,
+                 p.s.autorepair_hello) &&
+         p.options(1, {opt("dead", kNumber, p.s.autorepair_dead, kAtLeastOne)});
+}
+
+bool parse_profile(ScenarioParser& p) {
+  std::size_t k = 0;  // a bare `profile` means on
+  if (!p.args.empty() && !p.pick(p.args[0], "profile mode", {"on", "off"}, k)) {
+    return false;
+  }
+  p.s.profile = k == 0;
+  return true;
+}
+
+bool parse_trace(ScenarioParser& p) { return p.path(p.s.trace_path); }
+
+bool parse_metrics(ScenarioParser& p) { return p.path(p.s.metrics_path); }
+
+bool parse_timeline(ScenarioParser& p) {
+  p.timeline_line = p.line;
+  return p.path(p.s.timeline_path);
+}
+
+bool parse_sample(ScenarioParser& p) {
+  p.sample_line = p.line;
+  return p.value("sample interval", p.args[0], kTime, kPositive,
+                 p.s.sample_interval);
+}
+
+bool parse_protect(ScenarioParser& p) {
+  p.s.protect = true;
+  return p.options(0, {opt("bw", kRate, p.s.protect_bw)});
+}
+
+bool parse_run(ScenarioParser& p) {
+  return p.value("duration", p.args[0], kTime, kAny, p.s.run_duration);
+}
+
+// The language's directives, one entry each; docs/SCENARIO.md has the
+// grammar.  A new directive is an entry here, its phase in
+// ScenarioRunner::run, and its grammar line in the docs.
+constexpr ScenarioDirective kDirectives[] = {
+    {.name = "qos", .max_args = kMany,
+     .usage = "strict|fifo|wrr [capacity=64] [red]", .parse = parse_qos},
+    {.name = "scheduler", .assign = true, .min_args = 1, .max_args = 1,
+     .usage = "heap|calendar", .parse = parse_scheduler},
+    {.name = "domains", .assign = true, .min_args = 1, .max_args = 1,
+     .usage = "<N>|auto", .parse = parse_domains},
+    {.name = "sync", .assign = true, .min_args = 1, .max_args = 1,
+     .usage = "deterministic|free", .parse = parse_sync},
+    {.name = "trace", .assign = true, .min_args = 1, .max_args = 1,
+     .usage = "<path>|off", .parse = parse_trace},
+    {.name = "metrics", .assign = true, .min_args = 1, .max_args = 1,
+     .usage = "<path>|off", .parse = parse_metrics},
+    {.name = "timeline", .assign = true, .min_args = 1, .max_args = 1,
+     .usage = "<path>|off", .parse = parse_timeline},
+    {.name = "sample", .assign = true, .min_args = 1, .max_args = 1,
+     .usage = "<interval>", .parse = parse_sample},
+    {.name = "profile", .max_args = 1, .usage = "[on|off]",
+     .parse = parse_profile},
+    {.name = "expect", .min_args = 3, .max_args = 5,
+     .usage = "<metric> <op> <value> [during <t0>..<t1>]",
+     .parse = parse_expect},
+    {.name = "router", .min_args = 2, .max_args = kMany,
+     .usage = "<name> ler|lsr [options]", .parse = parse_router},
+    {.name = "link", .min_args = 4, .max_args = 4,
+     .usage = "<a> <b> <bandwidth> <delay>", .parse = parse_link},
+    {.name = "lsp", .min_args = 3, .max_args = kMany,
+     .usage = "<prefix> <nodes...> [bw=] [php] [merge]", .parse = parse_lsp},
+    {.name = "lsp-cspf", .min_args = 3, .max_args = kMany,
+     .usage = "<prefix> <ingress> <egress> [bw=]", .parse = parse_lsp},
+    {.name = "tunnel", .min_args = 4, .max_args = kMany,
+     .usage = "<name> <n1> <n2> <n3> ...", .parse = parse_tunnel},
+    {.name = "lsp-via-tunnel", .min_args = 7, .max_args = kMany,
+     .usage = "<prefix> pre <n..> tunnel <name> post <n..> [bw=]",
+     .parse = parse_lsp_via_tunnel},
+    {.name = "flow", .min_args = 4, .max_args = kMany,
+     .usage = "<kind> <id> <ingress> <dst> [opts]", .parse = parse_flow},
+    {.name = "fail", .min_args = 3, .max_args = 3, .usage = "<time> <a> <b>",
+     .control_plane = true, .parse = parse_link_event},
+    {.name = "restore", .min_args = 3, .max_args = 3, .usage = "<time> <a> <b>",
+     .control_plane = true, .parse = parse_link_event},
+    {.name = "flap", .min_args = 4, .max_args = 4,
+     .usage = "<time> <a> <b> <down-for>", .control_plane = true,
+     .parse = parse_flap},
+    {.name = "crash", .min_args = 2, .max_args = kMany,
+     .usage = "<time> <node> [for=dur]", .control_plane = true,
+     .parse = parse_crash},
+    {.name = "corrupt", .min_args = 2, .max_args = kMany,
+     .usage = "<time> <node> [salt=N] [resync=dur]", .control_plane = true,
+     .parse = parse_corrupt},
+    {.name = "protect", .max_args = kMany, .usage = "[bw=X]",
+     .control_plane = true, .parse = parse_protect},
+    {.name = "police", .min_args = 3, .max_args = kMany,
+     .usage = "<ingress> <flow-id> <rate> [burst=N] [demote]",
+     .parse = parse_police},
+    {.name = "loadgen", .min_args = 3, .max_args = kMany,
+     .usage = "poisson|mmpp <ingress> <dst> [opts]", .parse = parse_loadgen},
+    {.name = "attack", .assign = true, .min_args = 3, .max_args = kMany,
+     .usage = "<kind> <time> <ingress> [opts]", .control_plane = true,
+     .parse = parse_attack},
+    {.name = "guard", .min_args = 1, .max_args = kMany,
+     .usage = "<router>|* [opts]", .parse = parse_guard},
+    {.name = "ping", .min_args = 3, .max_args = 3,
+     .usage = "<time> <ingress> <dst>", .control_plane = true,
+     .parse = parse_oam},
+    {.name = "traceroute", .min_args = 3, .max_args = 3,
+     .usage = "<time> <ingress> <dst>", .control_plane = true,
+     .parse = parse_oam},
+    {.name = "autorepair", .min_args = 1, .max_args = kMany,
+     .usage = "<hello> [dead=N]", .control_plane = true,
+     .parse = parse_autorepair},
+    {.name = "run", .min_args = 1, .max_args = 1, .usage = "<duration>",
+     .parse = parse_run},
+};
+
+}  // namespace
+
+std::span<const ScenarioDirective> scenario_directives() noexcept {
+  return kDirectives;
+}
+
 std::variant<Scenario, ScenarioError> Scenario::parse(std::string_view text) {
   Scenario s;
+  ScenarioParser p{.s = s};
   std::istringstream in{std::string(text)};
   std::string line;
-  int line_no = 0;
-  int sample_line = 0;    // where `sample` was declared, for the
-  int timeline_line = 0;  // cross-directive diagnostics below the loop
-
-  auto error = [&](const std::string& message) {
-    return ScenarioError{line_no, message};
-  };
-
   while (std::getline(in, line)) {
-    ++line_no;
-    const auto tokens = tokenize(line);
-    if (tokens.empty()) {
+    ++p.line;
+    p.args = tokenize(line);
+    if (p.args.empty()) {
       continue;
     }
-    const std::string& cmd = tokens[0];
-
-    if (cmd == "qos") {
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        if (tokens[i] == "strict") {
-          s.qos.scheduler = SchedulerKind::kStrictPriority;
-        } else if (tokens[i] == "fifo") {
-          s.qos.scheduler = SchedulerKind::kFifo;
-        } else if (tokens[i] == "wrr") {
-          s.qos.scheduler = SchedulerKind::kWeightedRoundRobin;
-        } else if (tokens[i] == "red") {
-          s.qos.drop = DropPolicy::kRed;
-        } else if (const auto opt = split_option(tokens[i]);
-                   opt && opt->first == "capacity") {
-          const auto v = parse_number(opt->second);
-          if (!v || *v < 1) {
-            return error("bad qos capacity: " + opt->second);
-          }
-          s.qos.queue_capacity = static_cast<std::size_t>(*v);
-        } else {
-          return error("unknown qos option: " + tokens[i]);
-        }
-      }
-    } else if (cmd == "scheduler" || cmd.rfind("scheduler=", 0) == 0) {
-      // Accept both spellings: `scheduler calendar` and
-      // `scheduler=calendar`.
-      std::string value;
-      if (cmd == "scheduler") {
-        if (tokens.size() != 2) {
-          return error("scheduler needs: scheduler heap|calendar");
-        }
-        value = tokens[1];
-      } else {
-        if (tokens.size() != 1) {
-          return error("scheduler=<backend> takes no further tokens");
-        }
-        value = cmd.substr(std::string_view("scheduler=").size());
-      }
-      if (value == "heap") {
-        s.scheduler = SchedulerBackend::kHeap;
-      } else if (value == "calendar") {
-        s.scheduler = SchedulerBackend::kCalendar;
-      } else {
-        return error("unknown scheduler: " + value + " (heap|calendar)");
-      }
-    } else if (cmd == "domains" || cmd.rfind("domains=", 0) == 0) {
-      // Event-domain partitioning; both spellings, like `scheduler`.
-      std::string value;
-      if (cmd == "domains") {
-        if (tokens.size() != 2) {
-          return error("domains needs: domains <N>|auto");
-        }
-        value = tokens[1];
-      } else {
-        if (tokens.size() != 1) {
-          return error("domains=<N>|auto takes no further tokens");
-        }
-        value = cmd.substr(std::string_view("domains=").size());
-      }
-      if (value == "auto") {
-        s.domains = 0;  // resolved to the hardware thread count at run
-      } else {
-        const std::optional<double> n = parse_number(value);
-        if (!n || *n < 1 || *n > 256 ||
-            *n != static_cast<double>(static_cast<std::size_t>(*n))) {
-          return error("domains must be an integer in [1,256] or auto");
-        }
-        s.domains = static_cast<std::size_t>(*n);
-      }
-    } else if (cmd == "sync" || cmd.rfind("sync=", 0) == 0) {
-      std::string value;
-      if (cmd == "sync") {
-        if (tokens.size() != 2) {
-          return error("sync needs: sync deterministic|free");
-        }
-        value = tokens[1];
-      } else {
-        if (tokens.size() != 1) {
-          return error("sync=<mode> takes no further tokens");
-        }
-        value = cmd.substr(std::string_view("sync=").size());
-      }
-      if (value == "deterministic") {
-        s.sync = SyncMode::kDeterministic;
-      } else if (value == "free") {
-        s.sync = SyncMode::kFree;
-      } else {
-        return error("unknown sync mode: " + value +
-                     " (deterministic|free)");
-      }
-    } else if (cmd == "trace" || cmd.rfind("trace=", 0) == 0 ||
-               cmd == "metrics" || cmd.rfind("metrics=", 0) == 0) {
-      // Telemetry outputs; both spellings, like `scheduler`.  "off"
-      // (the default) leaves the corresponding exporter unarmed.
-      const bool is_trace = cmd[0] == 't';
-      const char* name = is_trace ? "trace" : "metrics";
-      std::string value;
-      if (cmd == name) {
-        if (tokens.size() != 2) {
-          return error(std::string(name) + " needs: " + name +
-                       " <path>|off");
-        }
-        value = tokens[1];
-      } else {
-        if (tokens.size() != 1) {
-          return error(std::string(name) +
-                       "=<path> takes no further tokens");
-        }
-        value = cmd.substr(std::string(name).size() + 1);
-      }
-      if (value == "off") {
-        value.clear();
-      }
-      (is_trace ? s.trace_path : s.metrics_path) = std::move(value);
-    } else if (cmd == "timeline" || cmd.rfind("timeline=", 0) == 0) {
-      std::string value;
-      if (cmd == "timeline") {
-        if (tokens.size() != 2) {
-          return error("timeline needs: timeline <path>|off");
-        }
-        value = tokens[1];
-      } else {
-        if (tokens.size() != 1) {
-          return error("timeline=<path> takes no further tokens");
-        }
-        value = cmd.substr(std::string_view("timeline=").size());
-      }
-      if (value == "off") {
-        value.clear();
-      }
-      s.timeline_path = std::move(value);
-      timeline_line = line_no;
-    } else if (cmd == "sample" || cmd.rfind("sample=", 0) == 0) {
-      std::string value;
-      if (cmd == "sample") {
-        if (tokens.size() != 2) {
-          return error("sample needs: sample <interval>");
-        }
-        value = tokens[1];
-      } else {
-        if (tokens.size() != 1) {
-          return error("sample=<interval> takes no further tokens");
-        }
-        value = cmd.substr(std::string_view("sample=").size());
-      }
-      const auto v = parse_time(value);
-      if (!v || *v <= 0) {
-        return error("bad sample interval: " + value);
-      }
-      s.sample_interval = *v;
-      sample_line = line_no;
-    } else if (cmd == "profile") {
-      if (tokens.size() > 2 ||
-          (tokens.size() == 2 && tokens[1] != "on" && tokens[1] != "off")) {
-        return error("profile takes on|off");
-      }
-      s.profile = tokens.size() < 2 || tokens[1] == "on";
-    } else if (cmd == "expect") {
-      // expect <metric> <op> <value> [during <t0>..<t1>]
-      if (tokens.size() != 4 && tokens.size() != 6) {
-        return error("expect needs: expect <metric> <op> <value> "
-                     "[during <t0>..<t1>]");
-      }
-      ExpectDecl e;
-      e.metric = tokens[1];
-      if (tokens[2] == "<") {
-        e.op = ExpectDecl::Op::kLt;
-      } else if (tokens[2] == "<=") {
-        e.op = ExpectDecl::Op::kLe;
-      } else if (tokens[2] == ">") {
-        e.op = ExpectDecl::Op::kGt;
-      } else if (tokens[2] == ">=") {
-        e.op = ExpectDecl::Op::kGe;
-      } else if (tokens[2] == "==") {
-        e.op = ExpectDecl::Op::kEq;
-      } else if (tokens[2] == "!=") {
-        e.op = ExpectDecl::Op::kNe;
-      } else {
-        return error("expect op must be one of < <= > >= == !=, got " +
-                     tokens[2]);
-      }
-      const auto v = parse_number(tokens[3]);
-      if (!v) {
-        return error("bad expect value: " + tokens[3]);
-      }
-      e.value = *v;
-      if (tokens.size() == 6) {
-        if (tokens[4] != "during") {
-          return error("expect window needs: during <t0>..<t1>, got " +
-                       tokens[4]);
-        }
-        const auto dots = tokens[5].find("..");
-        if (dots == std::string::npos) {
-          return error("expect window needs <t0>..<t1>, got " + tokens[5]);
-        }
-        const auto t0 = parse_time(tokens[5].substr(0, dots));
-        const auto t1 = parse_time(tokens[5].substr(dots + 2));
-        if (!t0 || !t1 || *t1 < *t0) {
-          return error("bad expect window: " + tokens[5]);
-        }
-        e.windowed = true;
-        e.t0 = *t0;
-        e.t1 = *t1;
-      }
-      e.line = line_no;
-      e.source = tokens[1] + " " + tokens[2] + " " + tokens[3];
-      if (e.windowed) {
-        e.source += " during " + tokens[5];
-      }
-      s.expects.push_back(std::move(e));
-    } else if (cmd == "router") {
-      if (tokens.size() < 3) {
-        return error("router needs: router <name> ler|lsr [options]");
-      }
-      RouterDecl r;
-      r.name = tokens[1];
-      if (tokens[2] == "ler") {
-        r.is_ler = true;
-      } else if (tokens[2] == "lsr") {
-        r.is_ler = false;
-      } else {
-        return error("router type must be ler or lsr, got " + tokens[2]);
-      }
-      for (std::size_t i = 3; i < tokens.size(); ++i) {
-        const auto opt = split_option(tokens[i]);
-        if (!opt) {
-          return error("bad router option: " + tokens[i]);
-        }
-        if (opt->first == "engine") {
-          if (opt->second.rfind("sharded:", 0) == 0) {
-            // sharded:<N> with an optional replica kind suffix:
-            // sharded:<N>:simd (the default) or sharded:<N>:trie.
-            std::string spec = opt->second.substr(8);
-            std::string replica = "simd";
-            if (const auto colon = spec.find(':');
-                colon != std::string::npos) {
-              replica = spec.substr(colon + 1);
-              spec.resize(colon);
-            }
-            const auto n = parse_number(spec);
-            if (!n || *n < 1 || *n > 64 ||
-                *n != static_cast<double>(static_cast<unsigned>(*n))) {
-              return error("sharded engine needs sharded:<1..64>, got " +
-                           opt->second);
-            }
-            if (replica != "simd" && replica != "trie") {
-              return error("sharded replica must be simd or trie, got " +
-                           opt->second);
-            }
-          } else if (opt->second != "linear" && opt->second != "hash" &&
-                     opt->second != "cam" && opt->second != "simd" &&
-                     opt->second != "trie" && opt->second != "hw") {
-            return error("unknown engine: " + opt->second);
-          }
-          r.engine = opt->second;
-        } else if (opt->first == "cache") {
-          if (opt->second == "off") {
-            r.cache = 0;
-          } else {
-            const auto v = parse_number(opt->second);
-            if (!v || *v < 1 || *v > 1048576 ||
-                *v != static_cast<double>(static_cast<std::size_t>(*v))) {
-              return error("bad cache size (want 1..1048576 or off): " +
-                           opt->second);
-            }
-            r.cache = static_cast<std::size_t>(*v);
-          }
-        } else if (opt->first == "batch") {
-          const auto v = parse_number(opt->second);
-          if (!v || *v < 1 || *v > 4096) {
-            return error("bad batch size: " + opt->second);
-          }
-          r.batch = static_cast<std::size_t>(*v);
-        } else if (opt->first == "clock") {
-          const auto v = parse_bandwidth(opt->second);  // same suffixes
-          if (!v) {
-            return error("bad clock: " + opt->second);
-          }
-          r.clock_hz = *v;
-        } else {
-          return error("unknown router option: " + opt->first);
-        }
-      }
-      if (s.has_router(r.name)) {
-        return error("duplicate router: " + r.name);
-      }
-      s.routers.push_back(std::move(r));
-    } else if (cmd == "link") {
-      if (tokens.size() != 5) {
-        return error("link needs: link <a> <b> <bandwidth> <delay>");
-      }
-      LinkDecl l;
-      l.a = tokens[1];
-      l.b = tokens[2];
-      if (!s.has_router(l.a) || !s.has_router(l.b)) {
-        return error("link references undeclared router");
-      }
-      const auto bw = parse_bandwidth(tokens[3]);
-      const auto delay = parse_time(tokens[4]);
-      if (!bw) {
-        return error("bad bandwidth: " + tokens[3]);
-      }
-      if (!delay) {
-        return error("bad delay: " + tokens[4]);
-      }
-      l.bandwidth_bps = *bw;
-      l.delay = *delay;
-      s.links.push_back(std::move(l));
-    } else if (cmd == "lsp" || cmd == "lsp-cspf") {
-      if (tokens.size() < 4) {
-        return error(cmd + " needs: " + cmd + " <prefix> <nodes...>");
-      }
-      LspDecl l;
-      const auto fec = mpls::Prefix::parse(tokens[1]);
-      if (!fec) {
-        return error("bad prefix: " + tokens[1]);
-      }
-      l.fec = *fec;
-      l.cspf = cmd == "lsp-cspf";
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        if (tokens[i] == "php") {
-          l.php = true;
-        } else if (tokens[i] == "merge") {
-          l.merge = true;
-        } else if (const auto opt = split_option(tokens[i])) {
-          if (opt->first != "bw") {
-            return error("unknown lsp option: " + opt->first);
-          }
-          const auto bw = parse_bandwidth(opt->second);
-          if (!bw) {
-            return error("bad bw: " + opt->second);
-          }
-          l.bw = *bw;
-        } else {
-          if (!s.has_router(tokens[i])) {
-            return error("lsp references undeclared router: " + tokens[i]);
-          }
-          l.path.push_back(tokens[i]);
-        }
-      }
-      if (l.path.size() < 2) {
-        return error("lsp needs at least two nodes");
-      }
-      if (l.cspf && l.path.size() != 2) {
-        return error("lsp-cspf takes exactly ingress and egress");
-      }
-      s.lsps.push_back(std::move(l));
-    } else if (cmd == "tunnel") {
-      if (tokens.size() < 5) {
-        return error("tunnel needs: tunnel <name> <n1> <n2> <n3> ...");
-      }
-      TunnelDecl t;
-      t.name = tokens[1];
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        if (!s.has_router(tokens[i])) {
-          return error("tunnel references undeclared router: " + tokens[i]);
-        }
-        t.path.push_back(tokens[i]);
-      }
-      s.tunnels.push_back(std::move(t));
-    } else if (cmd == "lsp-via-tunnel") {
-      // lsp-via-tunnel <prefix> pre <n..> tunnel <name> post <n..> [bw=]
-      if (tokens.size() < 8) {
-        return error("lsp-via-tunnel needs pre/tunnel/post sections");
-      }
-      LspViaTunnelDecl l;
-      const auto fec = mpls::Prefix::parse(tokens[1]);
-      if (!fec) {
-        return error("bad prefix: " + tokens[1]);
-      }
-      l.fec = *fec;
-      enum { kNone, kPre, kPost } section = kNone;
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        if (tokens[i] == "pre") {
-          section = kPre;
-        } else if (tokens[i] == "post") {
-          section = kPost;
-        } else if (tokens[i] == "tunnel") {
-          if (i + 1 >= tokens.size()) {
-            return error("tunnel section needs a name");
-          }
-          l.tunnel = tokens[++i];
-          section = kNone;
-        } else if (const auto opt = split_option(tokens[i])) {
-          if (opt->first != "bw") {
-            return error("unknown option: " + opt->first);
-          }
-          const auto bw = parse_bandwidth(opt->second);
-          if (!bw) {
-            return error("bad bw: " + opt->second);
-          }
-          l.bw = *bw;
-        } else if (section == kPre || section == kPost) {
-          if (!s.has_router(tokens[i])) {
-            return error("lsp-via-tunnel references undeclared router: " +
-                         tokens[i]);
-          }
-          (section == kPre ? l.pre : l.post).push_back(tokens[i]);
-        } else {
-          return error("unexpected token: " + tokens[i]);
-        }
-      }
-      if (l.pre.empty() || l.post.empty() || l.tunnel.empty()) {
-        return error("lsp-via-tunnel needs pre nodes, a tunnel and post "
-                     "nodes");
-      }
-      s.tunnel_lsps.push_back(std::move(l));
-    } else if (cmd == "flow") {
-      if (tokens.size() < 5) {
-        return error("flow needs: flow <kind> <id> <ingress> <dst> [opts]");
-      }
-      FlowDecl f;
-      f.kind = tokens[1];
-      if (f.kind != "cbr" && f.kind != "poisson" && f.kind != "video" &&
-          f.kind != "onoff") {
-        return error("unknown flow kind: " + f.kind);
-      }
-      const auto id = parse_number(tokens[2]);
-      if (!id || *id < 0) {
-        return error("bad flow id: " + tokens[2]);
-      }
-      f.id = static_cast<std::uint32_t>(*id);
-      f.ingress = tokens[3];
-      if (!s.has_router(f.ingress)) {
-        return error("flow ingress not declared: " + f.ingress);
-      }
-      if (!mpls::Ipv4Address::parse(tokens[4])) {
-        return error("bad destination address: " + tokens[4]);
-      }
-      f.dst = tokens[4];
-      for (std::size_t i = 5; i < tokens.size(); ++i) {
-        const auto opt = split_option(tokens[i]);
-        if (!opt) {
-          return error("bad flow option: " + tokens[i]);
-        }
-        const auto& [key, value] = *opt;
-        if (key == "cos") {
-          const auto v = parse_number(value);
-          if (!v || *v < 0 || *v > 7) {
-            return error("cos must be 0..7");
-          }
-          f.cos = static_cast<std::uint8_t>(*v);
-        } else if (key == "size") {
-          const auto v = parse_number(value);
-          if (!v || *v < 0) {
-            return error("bad size");
-          }
-          f.size = static_cast<std::size_t>(*v);
-        } else if (key == "start") {
-          const auto v = parse_time(value);
-          if (!v) {
-            return error("bad start");
-          }
-          f.start = *v;
-        } else if (key == "stop") {
-          const auto v = parse_time(value);
-          if (!v) {
-            return error("bad stop");
-          }
-          f.stop = *v;
-        } else if (key == "interval") {
-          const auto v = parse_time(value);
-          if (!v || *v <= 0) {
-            return error("bad interval");
-          }
-          f.interval = *v;
-        } else if (key == "rate") {
-          const auto v = parse_number(value);
-          if (!v || *v <= 0) {
-            return error("bad rate");
-          }
-          f.rate = *v;
-        } else if (key == "seed") {
-          const auto v = parse_number(value);
-          if (!v) {
-            return error("bad seed");
-          }
-          f.seed = static_cast<std::uint64_t>(*v);
-        } else if (key == "fps") {
-          const auto v = parse_number(value);
-          if (!v || *v <= 0) {
-            return error("bad fps");
-          }
-          f.fps = *v;
-        } else if (key == "ppf") {
-          const auto v = parse_number(value);
-          if (!v || *v < 1) {
-            return error("bad ppf");
-          }
-          f.ppf = static_cast<unsigned>(*v);
-        } else if (key == "on") {
-          const auto v = parse_time(value);
-          if (!v || *v <= 0) {
-            return error("bad on duration");
-          }
-          f.mean_on = *v;
-        } else if (key == "off") {
-          const auto v = parse_time(value);
-          if (!v || *v <= 0) {
-            return error("bad off duration");
-          }
-          f.mean_off = *v;
-        } else {
-          return error("unknown flow option: " + key);
-        }
-      }
-      s.flows.push_back(std::move(f));
-    } else if (cmd == "fail" || cmd == "restore") {
-      if (tokens.size() != 4) {
-        return error(cmd + " needs: " + cmd + " <time> <a> <b>");
-      }
-      LinkEventDecl e;
-      const auto at = parse_time(tokens[1]);
-      if (!at) {
-        return error("bad time: " + tokens[1]);
-      }
-      e.at = *at;
-      e.a = tokens[2];
-      e.b = tokens[3];
-      if (!s.has_router(e.a) || !s.has_router(e.b)) {
-        return error(cmd + " references undeclared router");
-      }
-      e.up = cmd == "restore";
-      s.link_events.push_back(std::move(e));
-    } else if (cmd == "flap") {
-      if (tokens.size() != 5) {
-        return error("flap needs: flap <time> <a> <b> <down-for>");
-      }
-      FlapDecl f;
-      const auto at = parse_time(tokens[1]);
-      if (!at) {
-        return error("bad time: " + tokens[1]);
-      }
-      f.at = *at;
-      f.a = tokens[2];
-      f.b = tokens[3];
-      if (!s.has_router(f.a) || !s.has_router(f.b)) {
-        return error("flap references undeclared router");
-      }
-      const auto down = parse_time(tokens[4]);
-      if (!down || *down <= 0) {
-        return error("bad flap duration: " + tokens[4]);
-      }
-      f.down_for = *down;
-      s.flaps.push_back(std::move(f));
-    } else if (cmd == "crash") {
-      if (tokens.size() < 3) {
-        return error("crash needs: crash <time> <node> [for=dur]");
-      }
-      CrashDecl c;
-      const auto at = parse_time(tokens[1]);
-      if (!at) {
-        return error("bad time: " + tokens[1]);
-      }
-      c.at = *at;
-      c.node = tokens[2];
-      if (!s.has_router(c.node)) {
-        return error("crash references undeclared router: " + c.node);
-      }
-      for (std::size_t i = 3; i < tokens.size(); ++i) {
-        const auto opt = split_option(tokens[i]);
-        if (!opt || opt->first != "for") {
-          return error("unknown crash option: " + tokens[i]);
-        }
-        const auto v = parse_time(opt->second);
-        if (!v || *v <= 0) {
-          return error("bad crash duration: " + opt->second);
-        }
-        c.duration = *v;
-      }
-      s.crashes.push_back(std::move(c));
-    } else if (cmd == "corrupt") {
-      if (tokens.size() < 3) {
-        return error(
-            "corrupt needs: corrupt <time> <node> [salt=N] [resync=dur]");
-      }
-      CorruptDecl c;
-      const auto at = parse_time(tokens[1]);
-      if (!at) {
-        return error("bad time: " + tokens[1]);
-      }
-      c.at = *at;
-      c.node = tokens[2];
-      if (!s.has_router(c.node)) {
-        return error("corrupt references undeclared router: " + c.node);
-      }
-      for (std::size_t i = 3; i < tokens.size(); ++i) {
-        const auto opt = split_option(tokens[i]);
-        if (!opt) {
-          return error("unknown corrupt option: " + tokens[i]);
-        }
-        if (opt->first == "salt") {
-          const auto v = parse_number(opt->second);
-          if (!v || *v < 0) {
-            return error("bad salt: " + opt->second);
-          }
-          c.salt = static_cast<std::uint64_t>(*v);
-        } else if (opt->first == "resync") {
-          const auto v = parse_time(opt->second);
-          if (!v || *v <= 0) {
-            return error("bad resync delay: " + opt->second);
-          }
-          c.resync = *v;
-        } else {
-          return error("unknown corrupt option: " + opt->first);
-        }
-      }
-      s.corruptions.push_back(std::move(c));
-    } else if (cmd == "protect") {
-      s.protect = true;
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        const auto opt = split_option(tokens[i]);
-        if (!opt || opt->first != "bw") {
-          return error("unknown protect option: " + tokens[i]);
-        }
-        const auto bw = parse_bandwidth(opt->second);
-        if (!bw) {
-          return error("bad protect bw: " + opt->second);
-        }
-        s.protect_bw = *bw;
-      }
-    } else if (cmd == "police") {
-      if (tokens.size() < 4) {
-        return error("police needs: police <ingress> <flow-id> <rate> "
-                     "[burst=N] [demote]");
-      }
-      Scenario::PolicerDecl p;
-      p.ingress = tokens[1];
-      if (!s.has_router(p.ingress)) {
-        return error("police ingress not declared: " + p.ingress);
-      }
-      const auto flow = parse_number(tokens[2]);
-      if (!flow || *flow < 0) {
-        return error("bad flow id: " + tokens[2]);
-      }
-      p.flow_id = static_cast<std::uint32_t>(*flow);
-      const auto rate = parse_bandwidth(tokens[3]);
-      if (!rate) {
-        return error("bad rate: " + tokens[3]);
-      }
-      p.rate_bps = *rate;
-      for (std::size_t i = 4; i < tokens.size(); ++i) {
-        if (tokens[i] == "demote") {
-          p.demote = true;
-        } else if (const auto opt = split_option(tokens[i]);
-                   opt && opt->first == "burst") {
-          const auto v = parse_number(opt->second);
-          if (!v || *v <= 0) {
-            return error("bad burst: " + opt->second);
-          }
-          p.burst_bytes = *v;
-        } else {
-          return error("unknown police option: " + tokens[i]);
-        }
-      }
-      s.policers.push_back(std::move(p));
-    } else if (cmd == "loadgen") {
-      if (tokens.size() < 4) {
-        return error("loadgen needs: loadgen poisson|mmpp <ingress> <dst> "
-                     "[opts]");
-      }
-      LoadGenDecl g;
-      g.kind = tokens[1];
-      if (g.kind != "poisson" && g.kind != "mmpp") {
-        return error("unknown loadgen arrivals: " + g.kind);
-      }
-      g.ingress = tokens[2];
-      if (!s.has_router(g.ingress)) {
-        return error("loadgen ingress not declared: " + g.ingress);
-      }
-      if (!mpls::Ipv4Address::parse(tokens[3])) {
-        return error("bad destination address: " + tokens[3]);
-      }
-      g.dst = tokens[3];
-      for (std::size_t i = 4; i < tokens.size(); ++i) {
-        const auto opt = split_option(tokens[i]);
-        if (!opt) {
-          return error("bad loadgen option: " + tokens[i]);
-        }
-        const auto& [key, value] = *opt;
-        if (key == "rate" || key == "burst-rate") {
-          const auto v = parse_bandwidth(value);  // k/M suffixes as pps
-          if (!v || (key == "rate" ? *v <= 0 : *v < 0)) {
-            return error("bad " + key + ": " + value);
-          }
-          (key == "rate" ? g.rate_pps : g.burst_rate_pps) = *v;
-        } else if (key == "sojourn") {
-          const auto v = parse_time(value);
-          if (!v || *v <= 0) {
-            return error("bad sojourn: " + value);
-          }
-          g.sojourn = *v;
-        } else if (key == "flows") {
-          const auto v = parse_number(value);
-          if (!v || *v < 1 || *v > 16e6) {
-            return error("bad flows (want 1..16M): " + value);
-          }
-          g.flows = static_cast<std::size_t>(*v);
-        } else if (key == "alpha") {
-          const auto v = parse_number(value);
-          if (!v || *v <= 0) {
-            return error("bad alpha: " + value);
-          }
-          g.alpha = *v;
-        } else if (key == "minpkts") {
-          const auto v = parse_number(value);
-          if (!v || *v < 1) {
-            return error("bad minpkts: " + value);
-          }
-          g.min_packets = static_cast<unsigned>(*v);
-        } else if (key == "cos") {
-          const auto v = parse_number(value);
-          if (!v || *v < 0 || *v > 7) {
-            return error("cos must be 0..7");
-          }
-          g.cos = static_cast<std::uint8_t>(*v);
-        } else if (key == "size") {
-          const auto v = parse_number(value);
-          if (!v || *v < 0) {
-            return error("bad size");
-          }
-          g.size = static_cast<std::size_t>(*v);
-        } else if (key == "seed") {
-          const auto v = parse_number(value);
-          if (!v) {
-            return error("bad seed");
-          }
-          g.seed = static_cast<std::uint64_t>(*v);
-        } else if (key == "start" || key == "stop") {
-          const auto v = parse_time(value);
-          if (!v) {
-            return error("bad " + key);
-          }
-          (key == "start" ? g.start : g.stop) = *v;
-        } else {
-          return error("unknown loadgen option: " + key);
-        }
-      }
-      s.loadgens.push_back(std::move(g));
-    } else if (cmd == "attack" || cmd.rfind("attack=", 0) == 0) {
-      // Both spellings: `attack spoof <time> <ingress>` and the survey
-      // shorthand `attack=spoof <time> <ingress>`.
-      AttackDecl a;
-      std::size_t arg = 1;
-      if (cmd == "attack") {
-        if (tokens.size() < 4) {
-          return error("attack needs: attack <kind> <time> <ingress> "
-                       "[opts]");
-        }
-        a.kind = tokens[arg++];
-      } else {
-        if (tokens.size() < 3) {
-          return error("attack=<kind> needs: attack=<kind> <time> "
-                       "<ingress> [opts]");
-        }
-        a.kind = cmd.substr(std::string_view("attack=").size());
-      }
-      if (a.kind != "spoof" && a.kind != "ttl_flood" &&
-          a.kind != "reserved" && a.kind != "exhaust") {
-        return error("unknown attack kind: " + a.kind +
-                     " (spoof|ttl_flood|reserved|exhaust)");
-      }
-      const auto at = parse_time(tokens[arg]);
-      if (!at) {
-        return error("bad time: " + tokens[arg]);
-      }
-      a.at = *at;
-      ++arg;
-      a.ingress = tokens[arg];
-      if (!s.has_router(a.ingress)) {
-        return error("attack ingress not declared: " + a.ingress);
-      }
-      ++arg;
-      for (; arg < tokens.size(); ++arg) {
-        const auto opt = split_option(tokens[arg]);
-        if (!opt) {
-          return error("bad attack option: " + tokens[arg]);
-        }
-        const auto& [key, value] = *opt;
-        if (key == "rate") {
-          const auto v = parse_bandwidth(value);
-          if (!v || *v <= 0) {
-            return error("bad rate: " + value);
-          }
-          a.rate_pps = *v;
-        } else if (key == "for") {
-          const auto v = parse_time(value);
-          if (!v || *v <= 0) {
-            return error("bad attack duration: " + value);
-          }
-          a.duration = *v;
-        } else if (key == "seed") {
-          const auto v = parse_number(value);
-          if (!v) {
-            return error("bad seed");
-          }
-          a.seed = static_cast<std::uint64_t>(*v);
-        } else if (key == "dst") {
-          if (!mpls::Ipv4Address::parse(value)) {
-            return error("bad attack dst: " + value);
-          }
-          a.dst = value;
-        } else if (key == "cos") {
-          const auto v = parse_number(value);
-          if (!v || *v < 0 || *v > 7) {
-            return error("cos must be 0..7");
-          }
-          a.cos = static_cast<std::uint8_t>(*v);
-        } else {
-          return error("unknown attack option: " + key);
-        }
-      }
-      s.attacks.push_back(std::move(a));
-    } else if (cmd == "guard") {
-      if (tokens.size() < 2) {
-        return error("guard needs: guard <router>|* [opts]");
-      }
-      GuardDecl g;
-      g.router = tokens[1];
-      if (g.router != "*" && !s.has_router(g.router)) {
-        return error("guard references undeclared router: " + g.router);
-      }
-      g.config.enabled = true;
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        const auto opt = split_option(tokens[i]);
-        if (!opt) {
-          return error("bad guard option: " + tokens[i]);
-        }
-        const auto& [key, value] = *opt;
-        if (key == "ttl" || key == "reprogram") {
-          const auto v = parse_bandwidth(value);  // rates; k/M suffixes
-          if (!v) {
-            return error("bad " + key + " rate: " + value);
-          }
-          (key == "ttl" ? g.config.ttl_expiry_pps
-                        : g.config.reprogram_per_s) = *v;
-        } else if (key == "demote" || key == "shed") {
-          const auto v = parse_number(value);
-          if (!v || *v < 0 || *v > 1.0) {
-            return error("bad " + key + " occupancy (want 0..1): " + value);
-          }
-          (key == "demote" ? g.config.demote_occupancy
-                           : g.config.shed_occupancy) = *v;
-        } else if (key == "maxcos") {
-          const auto v = parse_number(value);
-          if (!v || *v < 0 || *v > 7) {
-            return error("maxcos must be 0..7");
-          }
-          g.config.demote_cos_max = static_cast<std::uint8_t>(*v);
-        } else if (key == "reserved" || key == "spoof") {
-          if (value != "on" && value != "off") {
-            return error(key + " wants on|off, got " + value);
-          }
-          (key == "reserved" ? g.config.check_reserved
-                             : g.config.check_spoof) = value == "on";
-        } else {
-          return error("unknown guard option: " + key);
-        }
-      }
-      s.guards.push_back(std::move(g));
-    } else if (cmd == "ping" || cmd == "traceroute") {
-      if (tokens.size() != 4) {
-        return error(cmd + " needs: " + cmd + " <time> <ingress> <dst>");
-      }
-      OamDecl o;
-      const auto at = parse_time(tokens[1]);
-      if (!at) {
-        return error("bad time: " + tokens[1]);
-      }
-      o.at = *at;
-      o.traceroute = cmd == "traceroute";
-      o.ingress = tokens[2];
-      if (!s.has_router(o.ingress)) {
-        return error(cmd + " ingress not declared: " + o.ingress);
-      }
-      if (!mpls::Ipv4Address::parse(tokens[3])) {
-        return error("bad destination address: " + tokens[3]);
-      }
-      o.dst = tokens[3];
-      s.oam_probes.push_back(std::move(o));
-    } else if (cmd == "autorepair") {
-      if (tokens.size() < 2) {
-        return error("autorepair needs a hello interval");
-      }
-      const auto hello = parse_time(tokens[1]);
-      if (!hello || *hello <= 0) {
-        return error("bad hello interval: " + tokens[1]);
-      }
-      s.autorepair_hello = *hello;
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        const auto opt = split_option(tokens[i]);
-        if (!opt || opt->first != "dead") {
-          return error("unknown autorepair option: " + tokens[i]);
-        }
-        const auto v = parse_number(opt->second);
-        if (!v || *v < 1) {
-          return error("bad dead multiplier: " + opt->second);
-        }
-        s.autorepair_dead = static_cast<unsigned>(*v);
-      }
-    } else if (cmd == "run") {
-      if (tokens.size() != 2) {
-        return error("run needs a duration");
-      }
-      const auto v = parse_time(tokens[1]);
-      if (!v) {
-        return error("bad duration: " + tokens[1]);
-      }
-      s.run_duration = *v;
-    } else {
-      return error("unknown directive: " + cmd);
+    // `name=value rest...` reads as `name value rest...`.
+    const std::string word = p.args[0];
+    const auto eq = word.find('=');
+    const std::string name = word.substr(0, eq);
+    const auto* d = std::find_if(std::begin(kDirectives), std::end(kDirectives),
+                                 [&](const auto& e) { return e.name == name; });
+    if (d == std::end(kDirectives) ||
+        (eq != std::string::npos && !d->assign)) {
+      return ScenarioError{p.line, "unknown directive: " + word};
     }
+    if (eq == std::string::npos) {
+      p.args.erase(p.args.begin());
+    } else {
+      p.args[0] = word.substr(eq + 1);
+    }
+    if (p.args.size() < d->min_args || p.args.size() > d->max_args) {
+      return ScenarioError{p.line, std::string(d->name) + " needs: " +
+                                       std::string(d->name) + " " +
+                                       std::string(d->usage)};
+    }
+    p.directive = d->name;
+    if (!d->parse(p)) {
+      return ScenarioError{p.line, std::move(p.error)};
+    }
+    s.control_plane_ = s.control_plane_ || d->control_plane;
   }
   // Cross-directive validation: the runner pre-schedules timeline ticks
   // over the run window, so sampling needs a bounded run; windowed
   // assertions read the timeline, so they need sampling.
   if (s.sample_interval && !s.run_duration) {
-    return ScenarioError{sample_line, "sample requires a run duration"};
+    return ScenarioError{p.sample_line, "sample requires a run duration"};
   }
   for (const ExpectDecl& e : s.expects) {
     if (e.windowed && !s.sample_interval) {
@@ -1065,7 +860,7 @@ std::variant<Scenario, ScenarioError> Scenario::parse(std::string_view text) {
     }
   }
   if (!s.timeline_path.empty() && !s.sample_interval) {
-    return ScenarioError{timeline_line,
+    return ScenarioError{p.timeline_line,
                          "timeline output requires a sample interval"};
   }
   return s;

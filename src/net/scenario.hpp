@@ -1,62 +1,9 @@
 // Scenario description language: a small line-oriented text format that
 // declares a topology, label switched paths and traffic, so whole
 // experiments can be written as config files instead of C++ (see
-// examples/scenario_sim.cpp and examples/*.scn).
-//
-//   # comments and blank lines are ignored
-//   qos strict|fifo|wrr [capacity=64] [red]
-//   scheduler heap|calendar       # event-queue backend (also scheduler=..)
-//   domains <N>|auto              # event domains, 1 = off (also domains=..)
-//   sync deterministic|free       # domain sync mode (also sync=..)
-//   router <name> ler|lsr [engine=linear|hash|cam|simd|trie|hw
-//          |sharded:<N>[:simd|:trie]]
-//          [clock=50M] [batch=K] [cache=<entries>|off]
-//   link <a> <b> <bandwidth> <delay>          # e.g. link A B 100M 1ms
-//   lsp <prefix> <n1> <n2> ... [bw=2M] [php] [merge]
-//   lsp-cspf <prefix> <ingress> <egress> [bw=2M]
-//   tunnel <name> <n1> <n2> <n3> ...
-//   lsp-via-tunnel <prefix> pre <n..> tunnel <name> post <n..> [bw=1M]
-//   flow cbr <id> <ingress> <dst> [cos=6] [size=160] [interval=20ms]
-//            [start=0s] [stop=1s]
-//   flow poisson <id> <ingress> <dst> [rate=500] [seed=1] [...]
-//   flow video <id> <ingress> <dst> [fps=30] [ppf=8] [...]
-//   fail <time> <a> <b>        # cut both directions of a connection
-//   restore <time> <a> <b>
-//   flap <time> <a> <b> <down-for>   # cut that heals after <down-for>
-//   crash <time> <node> [for=100ms]  # all of a node's links at once
-//   corrupt <time> <node> [salt=N] [resync=20ms]  # info-base bit flip
-//   loadgen poisson|mmpp <ingress> <dst> [rate=10k] [flows=1024]
-//           [alpha=1.5] [minpkts=4] [cos=0] [size=160] [seed=1]
-//           [start=0] [stop=1] [burst-rate=40k] [sojourn=100ms]
-//   attack spoof|ttl_flood|reserved|exhaust <time> <ingress> [rate=10k]
-//          [for=500ms] [seed=1] [dst=10.1.0.5] [cos=7]
-//          # also spelled attack=<kind> <time> <ingress> ...
-//   guard <router>|* [ttl=1000] [reprogram=200] [demote=0.5]
-//         [shed=0.75] [maxcos=3] [reserved=on|off] [spoof=on|off]
-//   autorepair <hello> [dead=3]   # failure detection + auto reroute
-//   protect [bw=1M]            # pre-signal detours for every lsp
-//   police <ingress> <flow-id> <rate> [burst=1500] [demote]
-//   ping <time> <ingress> <dst>        # OAM reachability probe
-//   traceroute <time> <ingress> <dst>  # OAM path mapping
-//   trace <path>|off           # per-hop Chrome-trace JSON (also trace=..)
-//   metrics <path>|off         # Prometheus snapshot (also metrics=..)
-//   sample <interval>          # arm the telemetry timeline at this
-//                              # sim-time cadence; needs `run` (also
-//                              # sample=..)
-//   timeline <path>|off        # write the sampled series there; .json
-//                              # switches to JSON, else CSV (also
-//                              # timeline=..)
-//   profile [on|off]           # per-domain execution profiler
-//   expect <metric> <op> <value> [during <t0>..<t1>]
-//                              # self-verifying SLO assertion, checked
-//                              # at run end; op is < <= > >= == !=.
-//                              # <metric> is name[{labels}] with an
-//                              # optional .p50/.p99/.p999/.count suffix
-//                              # for histograms.  `during` checks every
-//                              # timeline sample in [t0,t1] (needs
-//                              # `sample`); without it, the end-of-run
-//                              # registry value is checked.
-//   run <duration>             # optional; defaults to run-to-idle
+// examples/scenario_sim.cpp and examples/*.scn).  The grammar is in
+// docs/SCENARIO.md; scenario_directives() below is the directive list
+// the parser dispatches on and the tests check that grammar against.
 //
 // This header is the pure data model + parser; execution lives in
 // core/scenario_runner.hpp (the runner needs the router classes).
@@ -65,7 +12,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -114,11 +63,13 @@ struct LspDecl {
   double bw = 0;
   bool php = false;
   bool merge = false;
+  int line = 0;  // source line, for the runner's diagnostics
 };
 
 struct TunnelDecl {
   std::string name;
   std::vector<std::string> path;
+  int line = 0;  // source line, for the runner's diagnostics
 };
 
 struct LspViaTunnelDecl {
@@ -127,6 +78,7 @@ struct LspViaTunnelDecl {
   std::string tunnel;
   std::vector<std::string> post;
   double bw = 0;
+  int line = 0;  // source line, for the runner's diagnostics
 };
 
 struct FlowDecl {
@@ -329,7 +281,40 @@ class Scenario {
   std::vector<ExpectDecl> expects;
 
   [[nodiscard]] bool has_router(const std::string& name) const;
+
+  /// Whether parse() read a control-plane directive (a fault, OAM
+  /// probe, attack, `autorepair` or `protect`): such a run schedules
+  /// work that touches other domains' links and nodes, so a partitioned
+  /// run must use sync=deterministic.
+  [[nodiscard]] bool control_plane() const noexcept { return control_plane_; }
+
+ private:
+  bool control_plane_ = false;  // written only by parse()
 };
+
+struct ScenarioParser;  // the state of one Scenario::parse call
+
+/// One directive of the scenario language.  scenario_directives() is
+/// the language's one directive list: Scenario::parse dispatches on it,
+/// and the tests derive the fuzzer's verbs from it and check
+/// docs/SCENARIO.md's grammar against it.
+struct ScenarioDirective {
+  std::string_view name;
+  /// `name=value rest...` is also accepted, as `name value rest...`.
+  bool assign = false;
+  /// Bounds on the argument count after the name, and the argument
+  /// grammar the arity error echoes.
+  std::size_t min_args = 0;
+  std::size_t max_args = 0;
+  std::string_view usage;
+  /// Makes Scenario::control_plane() true.
+  bool control_plane = false;
+  /// Reads the arguments into the scenario; false with an error
+  /// message recorded in the parser state.
+  bool (*parse)(ScenarioParser&) = nullptr;
+};
+
+[[nodiscard]] std::span<const ScenarioDirective> scenario_directives() noexcept;
 
 /// "100M" → 1e8, "2.5G" → 2.5e9, "64k" → 64000, bare number → bits/s.
 std::optional<double> parse_bandwidth(std::string_view text);

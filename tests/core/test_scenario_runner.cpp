@@ -158,15 +158,63 @@ run 1
 }
 
 TEST(ScenarioRunner, UnplaceableLspIsASemanticError) {
-  const auto result = ScenarioRunner::run_text(R"(
+  // Each input parses but cannot be signalled, and the error carries the
+  // failing directive's line.
+  const struct {
+    const char* text;
+    int line;
+    const char* message;
+  } cases[] = {
+      // Not enough bandwidth for the lsp.
+      {R"(
 router A ler
 router B ler
 link A B 1M 1ms
 lsp 10.1.0.0/16 A B bw=5M
-)");
-  ASSERT_TRUE(std::holds_alternative<net::ScenarioError>(result));
-  EXPECT_NE(std::get<net::ScenarioError>(result).message.find("lsp"),
-            std::string::npos);
+)",
+       5, "lsp could not be established for 10.1.0.0/16"},
+      // No link to the lsp's egress.
+      {"router A ler\n"
+       "router B lsr\n"
+       "router C ler\n"
+       "link A B 10M 1ms\n"
+       "lsp 10.1.0.0/16 A B C\n",
+       5, "lsp could not be established for 10.1.0.0/16"},
+      // No link to the tunnel's tail.
+      {"router A ler\n"
+       "router B lsr\n"
+       "router C ler\n"
+       "link A B 10M 1ms\n"
+       "# no link B C\n"
+       "tunnel T A B C\n",
+       6, "tunnel could not be established: T"},
+      // The tunnel is up, but the segment before it lacks the bandwidth.
+      {"router A ler\n"
+       "router B lsr\n"
+       "router X lsr\n"
+       "router C lsr\n"
+       "router D ler\n"
+       "link A B 1M 1ms\n"
+       "link B X 10M 1ms\n"
+       "link X C 10M 1ms\n"
+       "link C D 10M 1ms\n"
+       "tunnel T B X C\n"
+       "lsp-via-tunnel 10.1.0.0/16 pre A B tunnel T post C D bw=5M\n",
+       11, "lsp-via-tunnel could not be established for 10.1.0.0/16"},
+      // The tunnel was never declared.
+      {"router A ler\n"
+       "router B ler\n"
+       "link A B 1M 1ms\n"
+       "lsp-via-tunnel 10.1.0.0/16 pre A tunnel T9 post B\n",
+       4, "unknown tunnel: T9"},
+  };
+  for (const auto& c : cases) {
+    const auto result = ScenarioRunner::run_text(c.text);
+    ASSERT_TRUE(std::holds_alternative<net::ScenarioError>(result)) << c.text;
+    const auto& err = std::get<net::ScenarioError>(result);
+    EXPECT_EQ(err.line, c.line) << c.text;
+    EXPECT_EQ(err.message, c.message) << c.text;
+  }
 }
 
 TEST(ScenarioRunner, OamDirectivesReportResults) {

@@ -2,6 +2,10 @@
 // suffixes, and error reporting with line numbers.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <set>
+#include <string>
+
 #include "net/scenario.hpp"
 
 namespace empls::net {
@@ -365,6 +369,29 @@ TEST(ScenarioParse, ExpectOperatorSpellings) {
   EXPECT_EQ(s.expects[3].op, ExpectDecl::Op::kGe);
   EXPECT_EQ(s.expects[4].op, ExpectDecl::Op::kEq);
   EXPECT_EQ(s.expects[5].op, ExpectDecl::Op::kNe);
+}
+
+TEST(ScenarioDirectives, TableMatchesDocsGrammar) {
+  // docs/SCENARIO.md's fenced grammar blocks start each directive at
+  // column 0 (continuation lines are indented); their first words must
+  // name exactly the directives the parser's table holds.
+  std::ifstream in(EMPLS_SCENARIO_DOC);
+  ASSERT_TRUE(in) << EMPLS_SCENARIO_DOC;
+  std::set<std::string> documented;
+  bool in_block = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("```", 0) == 0) {
+      in_block = !in_block;
+    } else if (in_block && !line.empty() && line[0] != ' ') {
+      documented.insert(line.substr(0, line.find_first_of(" =")));
+    }
+  }
+  std::set<std::string> table;
+  for (const ScenarioDirective& d : scenario_directives()) {
+    EXPECT_TRUE(table.emplace(d.name).second) << "duplicate: " << d.name;
+  }
+  EXPECT_EQ(table, documented);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "net/attack.hpp"
 #include "net/scenario.hpp"
 
 namespace empls::net {
@@ -105,14 +106,19 @@ TEST_P(ScenarioFuzz, DirectiveSoupNeverCrashes) {
   // likelier than byte noise to reach deep parser paths (option maps,
   // the sharded:<N> suffix, fault parameters) with wrong arity, wrong
   // types and out-of-range values.
-  const std::vector<std::string> verbs = {
-      "qos",     "router", "link",    "lsp",      "lsp-cspf", "tunnel",
-      "flow",    "fail",   "restore", "flap",     "crash",    "corrupt",
-      "protect", "police", "ping",    "traceroute", "autorepair", "run",
-      "loadgen", "attack", "attack=spoof", "attack=exhaust",
-      "attack=melt", "guard", "domains", "sync", "domains=4", "sync=free",
-      "sample",  "sample=100ms", "timeline", "timeline=off", "profile",
-      "expect"};
+  // Verbs come from the directive table: every name, `name=` (glued to
+  // the next word) for the two-spelling entries, and each attack=<kind>.
+  std::vector<std::string> verbs;
+  for (const ScenarioDirective& d : scenario_directives()) {
+    verbs.emplace_back(d.name);
+    if (d.assign) {
+      verbs.push_back(std::string(d.name) + "=");
+    }
+  }
+  for (const AttackKind kind : {AttackKind::kSpoof, AttackKind::kTtlFlood,
+                                AttackKind::kReserved, AttackKind::kExhaust}) {
+    verbs.push_back("attack=" + std::string(to_string(kind)));
+  }
   const std::vector<std::string> words = {
       "A",        "B",          "C",       "ler",        "lsr",
       "strict",   "cbr",        "10M",     "1ms",        "0.2",
@@ -139,7 +145,9 @@ TEST_P(ScenarioFuzz, DirectiveSoupNeverCrashes) {
       text += verbs[rng() % verbs.size()];
       const auto argc = rng() % 6;
       for (unsigned a = 0; a < argc; ++a) {
-        text += ' ';
+        if (text.back() != '=') {
+          text += ' ';
+        }
         text += words[rng() % words.size()];
       }
       text += '\n';
