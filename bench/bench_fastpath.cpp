@@ -170,8 +170,8 @@ FastpathResult run_line(bool legacy, net::SchedulerBackend backend,
     core::RouterConfig cfg;
     cfg.type = (i == 0 || i == kNodes - 1) ? hw::RouterType::kLer
                                            : hw::RouterType::kLsr;
-    // Per-hop serialize/parse round trips allocate; both modes disable
-    // them so the comparison isolates the packet transport.
+    // Both modes disable the per-hop wire check so the comparison
+    // isolates the packet transport.
     cfg.validate_wire = false;
     std::string name = "R";
     name += std::to_string(i);

@@ -1,5 +1,7 @@
 #include "core/ingress.hpp"
 
+#include <vector>
+
 #include "sw/semantics.hpp"
 
 namespace empls::core {
@@ -26,16 +28,19 @@ std::optional<mpls::Packet> IngressProcessor::parse(
 }
 
 bool IngressProcessor::wire_round_trip_ok(const mpls::Packet& packet) {
-  const auto bytes = packet.serialize();
-  const auto reparsed = mpls::Packet::parse(bytes);
-  if (!reparsed) {
+  // Per-thread scratch (free-running domains validate on several
+  // threads): once warmed, the round trip allocates nothing.
+  thread_local std::vector<std::uint8_t> bytes;
+  thread_local mpls::Packet reparsed;
+  packet.serialize_into(bytes);
+  if (!mpls::Packet::parse_into(bytes, reparsed)) {
     return false;
   }
-  return reparsed->l2 == packet.l2 && reparsed->src == packet.src &&
-         reparsed->dst == packet.dst && reparsed->cos == packet.cos &&
-         reparsed->ip_ttl == packet.ip_ttl &&
-         reparsed->stack == packet.stack &&
-         reparsed->payload == packet.payload;
+  return reparsed.l2 == packet.l2 && reparsed.src == packet.src &&
+         reparsed.dst == packet.dst && reparsed.cos == packet.cos &&
+         reparsed.ip_ttl == packet.ip_ttl &&
+         reparsed.stack == packet.stack &&
+         reparsed.payload == packet.payload;
 }
 
 }  // namespace empls::core

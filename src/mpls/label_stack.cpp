@@ -44,7 +44,12 @@ bool LabelStack::rewrite_top(std::uint32_t label, std::uint8_t ttl) {
 
 std::vector<std::uint8_t> LabelStack::serialize() const {
   std::vector<std::uint8_t> out;
-  out.reserve(entries_.size() * 4);
+  out.reserve(wire_size());
+  append_to(out);
+  return out;
+}
+
+void LabelStack::append_to(std::vector<std::uint8_t>& out) const {
   // Wire order is top first.
   for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
     const std::uint32_t w = encode(*it);
@@ -53,38 +58,49 @@ std::vector<std::uint8_t> LabelStack::serialize() const {
     out.push_back(static_cast<std::uint8_t>(w >> 8));
     out.push_back(static_cast<std::uint8_t>(w));
   }
-  return out;
 }
 
 std::optional<LabelStack> LabelStack::parse(std::span<const std::uint8_t> bytes,
                                             std::size_t capacity) {
-  std::vector<LabelEntry> top_first;
-  std::size_t off = 0;
-  for (;;) {
-    if (off + 4 > bytes.size()) {
-      return std::nullopt;  // truncated: ran out before an S bit
-    }
-    const std::uint32_t w = (static_cast<std::uint32_t>(bytes[off]) << 24) |
-                            (static_cast<std::uint32_t>(bytes[off + 1]) << 16) |
-                            (static_cast<std::uint32_t>(bytes[off + 2]) << 8) |
-                            static_cast<std::uint32_t>(bytes[off + 3]);
-    off += 4;
-    top_first.push_back(decode(w));
-    if (top_first.back().bottom) {
-      break;
-    }
-    if (top_first.size() > capacity) {
-      return std::nullopt;
-    }
-  }
-  if (top_first.size() > capacity) {
+  LabelStack stack(capacity);
+  if (!parse_into(bytes, stack, capacity)) {
     return std::nullopt;
   }
-  LabelStack stack(capacity);
-  for (auto it = top_first.rbegin(); it != top_first.rend(); ++it) {
-    stack.push(*it);  // push() re-derives S bits bottom-up
-  }
   return stack;
+}
+
+bool LabelStack::parse_into(std::span<const std::uint8_t> bytes,
+                            LabelStack& out, std::size_t capacity) {
+  auto entry = [&bytes](std::size_t i) {
+    const std::size_t off = 4 * i;
+    return decode((static_cast<std::uint32_t>(bytes[off]) << 24) |
+                  (static_cast<std::uint32_t>(bytes[off + 1]) << 16) |
+                  (static_cast<std::uint32_t>(bytes[off + 2]) << 8) |
+                  static_cast<std::uint32_t>(bytes[off + 3]));
+  };
+  // Find the entry with the S bit first, so the entries can then be
+  // decoded straight into `out`, bottom first.
+  std::size_t depth = 0;
+  for (;;) {
+    if (4 * depth + 4 > bytes.size()) {
+      return false;  // truncated: ran out before an S bit
+    }
+    ++depth;
+    if (entry(depth - 1).bottom) {
+      break;
+    }
+    if (depth > capacity) {
+      return false;
+    }
+  }
+  if (depth > capacity) {
+    return false;
+  }
+  out.reset(capacity);
+  for (std::size_t i = depth; i-- > 0;) {
+    out.push(entry(i));  // push() re-derives S bits bottom-up
+  }
+  return true;
 }
 
 bool LabelStack::s_bit_invariant_holds() const noexcept {

@@ -56,15 +56,31 @@ class LabelStack {
   /// DISCARD PACKET resets the label stack).
   void clear() noexcept { entries_.clear(); }
 
+  /// Empty the stack and set its capacity, keeping its storage: the
+  /// state of a freshly constructed LabelStack(capacity).
+  void reset(std::size_t capacity = kHardwareDepth) noexcept {
+    entries_.clear();
+    capacity_ = capacity;
+  }
+
   /// Wire serialisation: top entry first, 4 bytes per entry, big-endian,
   /// exactly as the shim header appears on the wire (RFC 3032).
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
+
+  /// Append serialize()'s bytes to `out` (no allocation when `out` has
+  /// the room).
+  void append_to(std::vector<std::uint8_t>& out) const;
 
   /// Parse a shim header from `bytes`.  Consumes entries until one with
   /// the S bit set; returns nullopt on truncated input, more entries than
   /// `capacity`, or zero entries.
   static std::optional<LabelStack> parse(std::span<const std::uint8_t> bytes,
                                          std::size_t capacity = kHardwareDepth);
+
+  /// parse() into an existing stack, reusing its storage: on success
+  /// `out` equals what parse() returns; on failure it is unspecified.
+  static bool parse_into(std::span<const std::uint8_t> bytes, LabelStack& out,
+                         std::size_t capacity = kHardwareDepth);
 
   /// Number of bytes serialize() produces.
   [[nodiscard]] std::size_t wire_size() const noexcept {

@@ -1,5 +1,6 @@
 #include "mpls/packet.hpp"
 
+#include <array>
 #include <charconv>
 #include <sstream>
 
@@ -69,16 +70,14 @@ std::size_t Packet::wire_size() const noexcept {
 
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
+void put_u16(std::uint8_t* out, std::uint16_t v) {
+  out[0] = static_cast<std::uint8_t>(v >> 8);
+  out[1] = static_cast<std::uint8_t>(v);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
+void put_u32(std::uint8_t* out, std::uint32_t v) {
+  put_u16(out, static_cast<std::uint16_t>(v >> 16));
+  put_u16(out + 2, static_cast<std::uint16_t>(v));
 }
 
 std::uint16_t get_u16(std::span<const std::uint8_t> b, std::size_t off) {
@@ -96,54 +95,71 @@ std::uint32_t get_u32(std::span<const std::uint8_t> b, std::size_t off) {
 
 std::vector<std::uint8_t> Packet::serialize() const {
   std::vector<std::uint8_t> out;
-  out.reserve(wire_size());
-  out.push_back(static_cast<std::uint8_t>(l2));
-  out.push_back(is_labeled() ? 1 : 0);
-  out.push_back(cos);
-  out.push_back(ip_ttl);
-  put_u32(out, src.value);
-  put_u32(out, dst.value);
-  put_u16(out, static_cast<std::uint16_t>(stack.wire_size()));
-  put_u16(out, static_cast<std::uint16_t>(payload.size()));
-  const auto shim = stack.serialize();
-  out.insert(out.end(), shim.begin(), shim.end());
-  out.insert(out.end(), payload.begin(), payload.end());
+  serialize_into(out);
   return out;
 }
 
+void Packet::serialize_into(std::vector<std::uint8_t>& out) const {
+  std::array<std::uint8_t, kPacketHeaderBytes> header{};
+  header[0] = static_cast<std::uint8_t>(l2);
+  header[1] = is_labeled() ? 1 : 0;
+  header[2] = cos;
+  header[3] = ip_ttl;
+  put_u32(&header[4], src.value);
+  put_u32(&header[8], dst.value);
+  put_u16(&header[12], static_cast<std::uint16_t>(stack.wire_size()));
+  put_u16(&header[14], static_cast<std::uint16_t>(payload.size()));
+  out.clear();
+  out.reserve(wire_size());
+  out.insert(out.end(), header.begin(), header.end());
+  stack.append_to(out);
+  out.insert(out.end(), payload.begin(), payload.end());
+}
+
 std::optional<Packet> Packet::parse(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kPacketHeaderBytes) {
+  Packet p;
+  if (!parse_into(bytes, p)) {
     return std::nullopt;
+  }
+  return p;
+}
+
+bool Packet::parse_into(std::span<const std::uint8_t> bytes, Packet& out) {
+  if (bytes.size() < kPacketHeaderBytes) {
+    return false;
   }
   if (bytes[0] > static_cast<std::uint8_t>(L2Type::kFrameRelay)) {
-    return std::nullopt;
+    return false;
   }
-  Packet p;
-  p.l2 = static_cast<L2Type>(bytes[0]);
   const bool labeled = (bytes[1] & 1) != 0;
-  p.cos = bytes[2];
-  p.ip_ttl = bytes[3];
-  p.src = Ipv4Address{get_u32(bytes, 4)};
-  p.dst = Ipv4Address{get_u32(bytes, 8)};
   const std::size_t shim_len = get_u16(bytes, 12);
   const std::size_t payload_len = get_u16(bytes, 14);
   if (bytes.size() != kPacketHeaderBytes + shim_len + payload_len) {
-    return std::nullopt;
+    return false;
   }
   if (labeled != (shim_len > 0) || shim_len % 4 != 0) {
-    return std::nullopt;
+    return false;
   }
   if (labeled) {
-    auto stack =
-        LabelStack::parse(bytes.subspan(kPacketHeaderBytes, shim_len));
-    if (!stack || stack->wire_size() != shim_len) {
-      return std::nullopt;
+    if (!LabelStack::parse_into(bytes.subspan(kPacketHeaderBytes, shim_len),
+                                out.stack) ||
+        out.stack.wire_size() != shim_len) {
+      return false;
     }
-    p.stack = *std::move(stack);
+  } else {
+    out.stack.reset();
   }
+  out.l2 = static_cast<L2Type>(bytes[0]);
+  out.cos = bytes[2];
+  out.ip_ttl = bytes[3];
+  out.src = Ipv4Address{get_u32(bytes, 4)};
+  out.dst = Ipv4Address{get_u32(bytes, 8)};
   const auto payload = bytes.subspan(kPacketHeaderBytes + shim_len);
-  p.payload.assign(payload.begin(), payload.end());
-  return p;
+  out.payload.assign(payload.begin(), payload.end());
+  out.id = 0;
+  out.created_at = 0.0;
+  out.flow_id = 0;
+  return true;
 }
 
 std::string Packet::to_string() const {

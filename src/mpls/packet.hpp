@@ -74,8 +74,17 @@ struct Packet {
   /// Serialise to the repo's wire format (see packet.cpp for the layout).
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
 
+  /// serialize() into `out`, replacing its contents and reusing its
+  /// storage.
+  void serialize_into(std::vector<std::uint8_t>& out) const;
+
   /// Parse a packet produced by serialize(); nullopt on malformed input.
   static std::optional<Packet> parse(std::span<const std::uint8_t> bytes);
+
+  /// parse() into an existing packet, reusing its stack and payload
+  /// storage: on success `out` equals what parse() returns (simulation
+  /// metadata included, reset to defaults); on failure it is unspecified.
+  static bool parse_into(std::span<const std::uint8_t> bytes, Packet& out);
 
   [[nodiscard]] std::string to_string() const;
 };

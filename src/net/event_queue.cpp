@@ -11,7 +11,7 @@ namespace {
 // Calendar sizing: Brown's rule of thumb — keep roughly one pending
 // event per bucket, resize by doubling/halving outside [1/8, 2] load.
 constexpr std::size_t kMinBuckets = 16;
-// Floor for the bucket width: protects slot numbers from blowing past
+// Floor for the bucket width: protects day numbers from blowing past
 // the 2^53 integer-exact range when every pending event shares one
 // timestamp (width would otherwise collapse to zero).
 constexpr double kMinWidth = 1e-12;
@@ -43,19 +43,29 @@ void EventQueue::schedule_event(SimTime at, InlineEvent fn) {
   } else {
     ++stats_.events_heap_fallback;
   }
-  push(Event{at, next_seq_++, /*slot=*/0, std::move(fn)});
+  std::uint32_t slot = 0;
+  if (free_.empty()) {
+    assert(slab_.size() < std::numeric_limits<std::uint32_t>::max());
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(fn));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slab_[slot] = std::move(fn);
+  }
+  push(Key{at, next_seq_++, slot});
 }
 
-void EventQueue::push(Event&& ev) {
+void EventQueue::push(const Key& key) {
   if (backend_ == SchedulerBackend::kHeap) {
-    heap_push(std::move(ev));
+    heap_push(key);
   } else {
-    calendar_insert(std::move(ev));
+    calendar_insert(key);
   }
   ++size_;
 }
 
-EventQueue::Event EventQueue::pop() {
+EventQueue::Key EventQueue::pop() {
   assert(size_ > 0);
   --size_;
   if (backend_ == SchedulerBackend::kHeap) {
@@ -64,31 +74,44 @@ EventQueue::Event EventQueue::pop() {
   return calendar_pop();
 }
 
-std::uint64_t EventQueue::run_until(SimTime until) {
-  std::uint64_t executed = 0;
-  while (size_ > 0) {
-    Event ev = pop();
-    if (ev.time > until) {
-      push(std::move(ev));  // keeps its sequence number: order unchanged
-      break;
+bool EventQueue::pop_due(SimTime end, bool inclusive, Key& out) {
+  auto beyond = [end, inclusive](SimTime t) {
+    return t > end || (!inclusive && t == end);
+  };
+  if (backend_ == SchedulerBackend::kHeap) {
+    if (beyond(heap_.front().time)) {
+      return false;
     }
-    now_ = ev.time;
-    ev.fn();
-    ++executed;
+    out = pop();
+    return true;
   }
-  if (now_ < until) {
-    now_ = until;
+  // The calendar peeks by popping: an event that is not due goes back
+  // with its sequence number, so order is unchanged.
+  out = pop();
+  if (beyond(out.time)) {
+    push(out);
+    return false;
   }
-  stats_.executed += executed;
-  return executed;
+  return true;
+}
+
+void EventQueue::dispatch(const Key& key) {
+  // Move the callback out before running it: it may schedule events,
+  // and a growing slab moves every slot.
+  InlineEvent fn = std::move(slab_[key.slot]);
+  free_.push_back(key.slot);
+  now_ = key.time;
+  fn();
+}
+
+std::uint64_t EventQueue::run_until(SimTime until) {
+  return run_window(until, /*inclusive=*/true);
 }
 
 std::uint64_t EventQueue::run() {
   std::uint64_t executed = 0;
   while (size_ > 0) {
-    Event ev = pop();
-    now_ = ev.time;
-    ev.fn();
+    dispatch(pop());
     ++executed;
   }
   stats_.executed += executed;
@@ -105,33 +128,25 @@ SimTime EventQueue::next_time() {
   // Calendar: pop the minimum and re-push it.  The event keeps its
   // sequence number so execution order is unchanged; the cursor pull-back
   // in calendar_insert restores the scan position.
-  Event ev = pop();
-  const SimTime t = ev.time;
-  push(std::move(ev));
-  return t;
+  const Key key = pop();
+  push(key);
+  return key.time;
 }
 
 bool EventQueue::step() {
   if (size_ == 0) {
     return false;
   }
-  Event ev = pop();
-  now_ = ev.time;
-  ev.fn();
+  dispatch(pop());
   ++stats_.executed;
   return true;
 }
 
 std::uint64_t EventQueue::run_window(SimTime end, bool inclusive) {
   std::uint64_t executed = 0;
-  while (size_ > 0) {
-    Event ev = pop();
-    if (ev.time > end || (!inclusive && ev.time == end)) {
-      push(std::move(ev));  // keeps its sequence number: order unchanged
-      break;
-    }
-    now_ = ev.time;
-    ev.fn();
+  Key key{};
+  while (size_ > 0 && pop_due(end, inclusive, key)) {
+    dispatch(key);
     ++executed;
   }
   if (now_ < end) {
@@ -145,97 +160,97 @@ void EventQueue::set_scheduler(SchedulerBackend backend) {
   if (backend == backend_) {
     return;
   }
-  // Drain the old structure, switch, re-push.  Sequence numbers ride
-  // along, so execution order is unchanged.
-  std::vector<Event> pending;
+  // Drain the old structure, switch, re-push.  Callbacks stay in their
+  // slots and sequence numbers ride along, so execution order is
+  // unchanged.
+  std::vector<Key> pending;
   pending.reserve(size_);
   if (backend_ == SchedulerBackend::kHeap) {
     pending = std::move(heap_);
     heap_.clear();
   } else {
     for (auto& bucket : buckets_) {
-      for (auto& ev : bucket) {
-        pending.push_back(std::move(ev));
+      for (const DayKey& entry : bucket) {
+        pending.push_back(entry.key);
       }
       bucket.clear();
     }
   }
   backend_ = backend;
   size_ = 0;
-  for (auto& ev : pending) {
-    push(std::move(ev));
+  for (const Key& key : pending) {
+    push(key);
   }
 }
 
 // ---------------------------------------------------------------------
 // Heap backend.
 
-void EventQueue::heap_push(Event&& ev) {
-  heap_.push_back(std::move(ev));
+void EventQueue::heap_push(const Key& key) {
+  heap_.push_back(key);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-EventQueue::Event EventQueue::heap_pop() {
+EventQueue::Key EventQueue::heap_pop() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
+  const Key key = heap_.back();
   heap_.pop_back();
-  return ev;
+  return key;
 }
 
 // ---------------------------------------------------------------------
 // Calendar backend.
 //
-// An event's slot is trunc(time * 1/width) — exact for the non-negative
-// clock — cached in the event at insert, and it lives in bucket
-// (slot & mask).  The cursor walks slots in order; within the cursor's
-// slot the (time, seq) minimum is popped, which is the global minimum
-// because all earlier slots have been drained and later slots only hold
+// An event's day is trunc(time * 1/width) — exact for the non-negative
+// clock — cached in its entry at insert, and it lives in bucket
+// (day & mask).  The cursor walks days in order; within the cursor's
+// day the (time, seq) minimum is popped, which is the global minimum
+// because all earlier days have been drained and later days only hold
 // later times.  The hot paths are branchy integer code on purpose: no
 // divides, no fmod, no floor.
 
-void EventQueue::calendar_insert(Event&& ev) {
+void EventQueue::calendar_insert(const Key& key) {
   if (buckets_.empty()) {
     calendar_rebuild(kMinBuckets);
   } else if (size_ + 1 > 2 * buckets_.size()) {
     calendar_rebuild(2 * buckets_.size());
   }
-  ev.slot = slot_of(ev.time);
+  const std::uint64_t day = day_of(key.time);
   // An event may land behind the cursor: run_until() can advance now()
-  // past slots the cursor already drained, and the next schedule lands
+  // past days the cursor already drained, and the next schedule lands
   // in one of them.  Pull the cursor back so the scan can't pop a later
   // event first.
-  if (ev.slot < cursor_slot_ || size_ == 0) {
-    cursor_slot_ = ev.slot;
+  if (day < cursor_day_ || size_ == 0) {
+    cursor_day_ = day;
   }
-  buckets_[bucket_of(ev.slot)].push_back(std::move(ev));
+  buckets_[bucket_of(day)].push_back(DayKey{day, key});
 }
 
-EventQueue::Event EventQueue::calendar_pop() {
+EventQueue::Key EventQueue::calendar_pop() {
   // size_ was already decremented by pop(); the true count is size_ + 1.
   if (buckets_.size() > kMinBuckets && (size_ + 1) * 8 < buckets_.size()) {
     calendar_rebuild(buckets_.size() / 2);
   }
   const std::size_t n = buckets_.size();
-  auto better = [](const Event& a, const Event& b) {
-    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+  auto better = [](const DayKey& a, const DayKey& b) {
+    return a.key.time < b.key.time ||
+           (a.key.time == b.key.time && a.key.seq < b.key.seq);
   };
-  auto take = [](std::vector<Event>& bucket, std::size_t i) {
-    Event ev = std::move(bucket[i]);
-    if (i + 1 != bucket.size()) {
-      bucket[i] = std::move(bucket.back());  // intra-bucket order is free
-    }
+  auto take = [](std::vector<DayKey>& bucket, std::size_t i) {
+    const Key key = bucket[i].key;
+    bucket[i] = bucket.back();  // intra-bucket order is free
     bucket.pop_back();
-    return ev;
+    return key;
   };
 
-  std::uint64_t scan = cursor_slot_;
+  std::uint64_t scan = cursor_day_;
   std::size_t b = bucket_of(scan);
   for (std::size_t visited = 0; visited <= n;
        ++visited, ++scan, b = (b + 1) & mask_) {
     auto& bucket = buckets_[b];
     std::size_t best = bucket.size();
     for (std::size_t i = 0; i < bucket.size(); ++i) {
-      if (bucket[i].slot != scan) {
+      if (bucket[i].day != scan) {
         continue;  // a later year sharing this bucket
       }
       if (best == bucket.size() || better(bucket[i], bucket[best])) {
@@ -243,7 +258,7 @@ EventQueue::Event EventQueue::calendar_pop() {
       }
     }
     if (best != bucket.size()) {
-      cursor_slot_ = scan;
+      cursor_day_ = scan;
       return take(bucket, best);
     }
   }
@@ -263,18 +278,16 @@ EventQueue::Event EventQueue::calendar_pop() {
     }
   }
   assert(best_bucket != n && "pop on an empty calendar");
-  cursor_slot_ = buckets_[best_bucket][best_index].slot;
+  cursor_day_ = buckets_[best_bucket][best_index].day;
   return take(buckets_[best_bucket], best_index);
 }
 
 void EventQueue::calendar_rebuild(std::size_t nbuckets) {
   ++stats_.calendar_rebuilds;
-  std::vector<Event> pending;
+  std::vector<DayKey> pending;
   pending.reserve(size_);
-  for (auto& bucket : buckets_) {
-    for (auto& ev : bucket) {
-      pending.push_back(std::move(ev));
-    }
+  for (const auto& bucket : buckets_) {
+    pending.insert(pending.end(), bucket.begin(), bucket.end());
   }
   buckets_.clear();
   buckets_.resize(std::max(nbuckets, kMinBuckets));  // stays a power of 2
@@ -285,14 +298,14 @@ void EventQueue::calendar_rebuild(std::size_t nbuckets) {
   // inter-event gap, not span/count: a handful of far-future outliers
   // (pre-scheduled telemetry sample ticks, a link failure armed minutes
   // ahead) would stretch a span-based width by orders of magnitude
-  // until the dense population collapsed into a single slot and every
+  // until the dense population collapsed into a single day and every
   // pop degenerated into a linear scan.  The median ignores them.  An
   // empty or single-time population keeps the current width.
   if (pending.size() >= 2) {
     std::vector<double> times;
     times.reserve(pending.size());
-    for (const auto& ev : pending) {
-      times.push_back(ev.time);
+    for (const DayKey& entry : pending) {
+      times.push_back(entry.key.time);
     }
     std::sort(times.begin(), times.end());
     std::vector<double> gaps;
@@ -311,13 +324,13 @@ void EventQueue::calendar_rebuild(std::size_t nbuckets) {
     }
   }
 
-  cursor_slot_ = slot_of(now_);
-  for (auto& ev : pending) {
-    ev.slot = slot_of(ev.time);  // slots shift with the new width
-    cursor_slot_ = std::min(cursor_slot_, ev.slot);
+  cursor_day_ = day_of(now_);
+  for (DayKey& entry : pending) {
+    entry.day = day_of(entry.key.time);  // days shift with the new width
+    cursor_day_ = std::min(cursor_day_, entry.day);
   }
-  for (auto& ev : pending) {
-    buckets_[bucket_of(ev.slot)].push_back(std::move(ev));
+  for (const DayKey& entry : pending) {
+    buckets_[bucket_of(entry.day)].push_back(entry);
   }
 }
 

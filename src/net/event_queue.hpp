@@ -5,16 +5,18 @@
 // the scales involved (nanosecond transmissions, millisecond windows)
 // stay well inside the 2^53 integer-exact range.
 //
-// Two interchangeable backends share the API and produce bit-identical
-// execution order:
-//   kHeap     — binary heap, O(log n) schedule/pop (the baseline);
+// Callbacks are InlineEvents (move-only closures stored inline up to 64
+// bytes) kept in a slab: a pending event's callback sits in one slot
+// from schedule until dispatch, and freed slots are reused, so a warmed
+// queue performs no heap allocation.  The backends order only 24-byte
+// (time, seq, slot) keys.  Two interchangeable backends share the API
+// and produce bit-identical execution order:
+//   kHeap     — binary heap of keys, O(log n) schedule/pop (the default);
 //   kCalendar — calendar queue (R. Brown, CACM 1988): time is hashed
-//               into width-sized bucket slots, so schedule and pop are
+//               into width-sized bucket days, so schedule and pop are
 //               O(1) amortized for the clustered event times traffic
 //               generates; a direct-search fallback keeps sparse or
 //               irregular workloads correct.
-// Callbacks are InlineEvents: move-only closures stored inline up to 64
-// bytes, so steady-state scheduling performs no heap allocation.
 #pragma once
 
 #include <cstdint>
@@ -112,33 +114,45 @@ class EventQueue {
   }
 
  private:
-  struct Event {
+  /// What the backends order: an event's (time, seq) and the slab slot
+  /// holding its callback.  A heap sift moves these 24 bytes, never a
+  /// closure.
+  struct Key {
     SimTime time;
     std::uint64_t seq;
-    std::uint64_t slot;  // cached calendar slot; unused by the heap
-    InlineEvent fn;
+    std::uint32_t slot;
   };
 
-  void push(Event&& ev);
+  void push(const Key& key);
   /// Pop the global (time, seq) minimum; size_ > 0 required.
-  Event pop();
+  Key pop();
+  /// Pop the minimum if it is due within the window ending at `end`
+  /// (see run_window); on false it stays queued.  size_ > 0 required.
+  bool pop_due(SimTime end, bool inclusive, Key& out);
+  /// Run the popped event: its callback leaves the slab first.
+  void dispatch(const Key& key);
 
   // -- heap backend ------------------------------------------------------
-  void heap_push(Event&& ev);
-  Event heap_pop();
+  void heap_push(const Key& key);
+  Key heap_pop();
 
   // -- calendar backend --------------------------------------------------
-  void calendar_insert(Event&& ev);
-  Event calendar_pop();
+  /// A calendar entry: the key and its absolute day, cached at insert.
+  struct DayKey {
+    std::uint64_t day;
+    Key key;
+  };
+  void calendar_insert(const Key& key);
+  Key calendar_pop();
   void calendar_rebuild(std::size_t nbuckets);
-  /// Absolute slot number of time `t`.  Truncation == floor because the
+  /// Absolute day number of time `t`.  Truncation == floor because the
   /// clock is non-negative; one multiply instead of a divide.
-  [[nodiscard]] std::uint64_t slot_of(SimTime t) const {
+  [[nodiscard]] std::uint64_t day_of(SimTime t) const {
     return static_cast<std::uint64_t>(t * inv_width_);
   }
   /// Bucket count is always a power of two, so the hash is one AND.
-  [[nodiscard]] std::size_t bucket_of(std::uint64_t slot) const {
-    return static_cast<std::size_t>(slot) & mask_;
+  [[nodiscard]] std::size_t bucket_of(std::uint64_t day) const {
+    return static_cast<std::size_t>(day) & mask_;
   }
 
   SchedulerBackend backend_ = SchedulerBackend::kHeap;
@@ -147,18 +161,24 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   Stats stats_;
 
-  // Heap storage: a min-heap over (time, seq) kept with std::push_heap /
-  // std::pop_heap so the top can be moved out (InlineEvent is move-only).
-  std::vector<Event> heap_;
+  // Callback slab shared by both backends: slab_[k.slot] holds the
+  // callback of the pending event with key k; free_ lists the empty
+  // slots, reused last-freed first.
+  std::vector<InlineEvent> slab_;
+  std::vector<std::uint32_t> free_;
 
-  // Calendar storage.  Slots are absolute (not wrapped) slot numbers;
-  // every event caches its slot at insert so the pop scan does pure
+  // Heap storage: a min-heap of keys over (time, seq), kept with
+  // std::push_heap / std::pop_heap.
+  std::vector<Key> heap_;
+
+  // Calendar storage.  Days are absolute (not wrapped) day numbers;
+  // every entry caches its day at insert so the pop scan does pure
   // integer compares.  Width is applied as a cached reciprocal.
-  std::vector<std::vector<Event>> buckets_;
-  double width_ = 1e-3;      // bucket width in seconds
+  std::vector<std::vector<DayKey>> buckets_;
+  double width_ = 1e-3;      // bucket width (one day) in seconds
   double inv_width_ = 1e3;   // 1 / width_, kept in sync by rebuild
   std::size_t mask_ = 0;     // buckets_.size() - 1 (power of two)
-  std::uint64_t cursor_slot_ = 0;  // slot currently being drained
+  std::uint64_t cursor_day_ = 0;  // day currently being drained
 };
 
 }  // namespace empls::net

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <functional>
 #include <initializer_list>
 #include <limits>
@@ -133,8 +134,8 @@ constexpr std::size_t kMany = std::numeric_limits<std::size_t>::max();
 /// suffixes) or rate (k/M/G suffixes; also bandwidths and clocks).
 enum Unit : std::uint8_t { kNumber, kTime, kRate };
 
-/// The values a numeric argument accepts.  Written as rejections
-/// (`v < lo`, `v > hi`) so NaN passes, as it always has.
+/// The finite values a numeric argument accepts (`value` rejects NaN
+/// and infinities before the range check).
 struct Range {
   double lo = -kInf;
   double hi = kInf;
@@ -174,8 +175,9 @@ struct ScenarioParser {
     const std::optional<double> v = unit == kTime   ? parse_time(text)
                                     : unit == kRate ? parse_bandwidth(text)
                                                     : parse_number(text);
-    bool ok = v && !(*v < range.lo || *v > range.hi ||
-                     (range.lo_open && *v <= range.lo));
+    bool ok = v && std::isfinite(*v) &&
+              !(*v < range.lo || *v > range.hi ||
+                (range.lo_open && *v <= range.lo));
     if constexpr (std::is_integral_v<T>) {
       ok = ok && !(range.integer &&
                    *v != static_cast<double>(static_cast<T>(*v)));

@@ -117,6 +117,14 @@ TEST(LabelStack, ParseRejectsMalformedInput) {
   }
   EXPECT_FALSE(LabelStack::parse(deep.serialize(), /*capacity=*/3));
   EXPECT_TRUE(LabelStack::parse(deep.serialize(), /*capacity=*/5));
+  // One entry past capacity, and that entry carries the S bit.
+  LabelStack four(4);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    four.push(e(i));
+  }
+  EXPECT_FALSE(LabelStack::parse(four.serialize(), /*capacity=*/3));
+  LabelStack reused;
+  EXPECT_FALSE(LabelStack::parse_into(four.serialize(), reused, 3));
 }
 
 TEST(LabelStack, EmptySerializesToNothing) {

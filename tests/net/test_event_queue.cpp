@@ -61,6 +61,26 @@ TEST_P(EventQueueBackends, CallbacksMayScheduleMore) {
   EXPECT_DOUBLE_EQ(q.now(), 4.5);
 }
 
+// Callbacks wait in a slab that grows by reallocation.  This one
+// schedules enough events to move the slab several times while it runs,
+// then reads its own captures: a queue that ran callbacks in place in
+// the slab would read freed memory here (ASan reports it).
+TEST_P(EventQueueBackends, CallbackGrowingTheSlabKeepsItsCaptures) {
+  EventQueue q = make();
+  int seen = 0;
+  int children = 0;
+  q.schedule_at(1.0, [&q, &seen, &children, token = std::make_unique<int>(7),
+                      tag = std::vector<int>{1, 2, 3}] {
+    for (int i = 0; i < 1000; ++i) {
+      q.schedule_in(1.0 + i, [&children] { ++children; });
+    }
+    seen = *token + tag[2];
+  });
+  EXPECT_EQ(q.run(), 1001u);
+  EXPECT_EQ(seen, 10);
+  EXPECT_EQ(children, 1000);
+}
+
 TEST_P(EventQueueBackends, RunUntilLeavesLaterEventsQueued) {
   EventQueue q = make();
   int fired = 0;

@@ -158,6 +158,45 @@ TEST(ScenarioParse, RejectsBadValues) {
             std::string::npos);
 }
 
+// NaN and infinities are rejected with the usual line-numbered error
+// before any range check: `cos=nan` used to pass every range written as
+// a rejection, and casting a non-finite value to an integer field is
+// undefined behaviour.
+TEST(ScenarioParse, RejectsNonFiniteNumbers) {
+  struct Case {
+    const char* text;
+    int line;
+    const char* message;
+  };
+  const Case cases[] = {
+      // A plain number.
+      {"router A ler\nflow cbr 1 A 10.0.0.1 cos=nan\n", 2, "bad cos: nan"},
+      // A time.
+      {"router A ler\nrouter B ler\nlink A B 10M inf\n", 3,
+       "bad delay: inf"},
+      {"router A ler\nflow cbr 1 A 10.0.0.1 start=infs\n", 2,
+       "bad start: infs"},
+      // A rate.
+      {"router A ler\nrouter B ler\nlink A B infk 1ms\n", 3,
+       "bad bandwidth: infk"},
+      // An integer field.
+      {"router A ler\nflow poisson 1 A 10.0.0.1 rate=500 seed=inf\n", 2,
+       "bad seed: inf"},
+      {"domains nan\n", 1, "bad domains (want 1..256 or auto): nan"},
+  };
+  for (const Case& c : cases) {
+    const auto err = parse_err(c.text);
+    EXPECT_EQ(err.line, c.line) << c.text;
+    EXPECT_EQ(err.message, c.message) << c.text;
+  }
+  // The finite spellings of the same values still parse.
+  const auto s = parse_ok(
+      "router A ler\nrouter B ler\nlink A B 10k 1ms\n"
+      "flow poisson 1 A 10.0.0.1 rate=500 seed=7 cos=3 start=1s\n");
+  ASSERT_EQ(s.flows.size(), 1u);
+  EXPECT_EQ(s.flows[0].cos, 3);
+}
+
 TEST(ScenarioParse, RejectsShortDeclarations) {
   EXPECT_EQ(parse_err("router A\n").line, 1);
   EXPECT_EQ(parse_err("router A ler\nlink A\n").line, 2);
