@@ -1,25 +1,21 @@
 // Extension experiment X5: the simulator's own fast path.
 //
-// The zero-allocation rework has two halves, measured separately and
-// then together:
+// Three measurements:
 //
 //   1. Event scheduling (events/sec): a self-rescheduling timer-wheel
 //      workload on (a) the seed's structure — a binary heap of
-//      std::function events — and (b/c) the InlineEvent queue under the
-//      heap and calendar backends.
+//      std::function events — and (b) the simulator's EventQueue
+//      (InlineEvent callbacks in a slab, a heap of compact keys).
 //   2. End-to-end forwarding (packets/sec): an 8-node line of routers
-//      under CBR load, run with the legacy per-hop deep-copy path
-//      (pooling off) versus the pooled handle path plus the calendar
-//      scheduler.  Wire validation is off in both modes so the
-//      comparison isolates the transport, not serialisation checks.
-//
+//      under CBR load on the pooled packet path.  Wire validation is off
+//      so the run measures the transport, not serialisation checks.
 //   3. Multi-core scaling (events/sec): 8 disconnected 8-node lines
 //      partitioned into 1/2/4/8 free-running event domains
 //      (net/domain.hpp) — the embarrassingly-parallel shape where the
 //      per-domain queues and pools should scale with cores.
 //
-// The gates (Release builds only): the pooled fast path must deliver at
-// least 2x the legacy packets/sec on the line topology, and 8 domains
+// The line run must schedule no heap-fallback events and keep the pool
+// high water bounded.  The timing gate (Release builds only): 8 domains
 // must run at least 4x the events/sec of the unpartitioned run (skipped
 // when the host has fewer than 8 hardware threads).  Results are also
 // written to BENCH_fastpath.json for CI artifacts; `--quick` runs a
@@ -135,10 +131,8 @@ double bench_seed_events(std::uint64_t total, unsigned timers) {
   return events_per_sec(q, total, timers);
 }
 
-double bench_inline_events(net::SchedulerBackend backend,
-                           std::uint64_t total, unsigned timers) {
+double bench_inline_events(std::uint64_t total, unsigned timers) {
   net::EventQueue q;
-  q.set_scheduler(backend);
   return events_per_sec(q, total, timers);
 }
 
@@ -156,13 +150,11 @@ struct FastpathResult {
   std::uint64_t heap_fallback_events = 0;
 };
 
-FastpathResult run_line(bool legacy, net::SchedulerBackend backend,
-                        double sim_seconds) {
+FastpathResult run_line(double sim_seconds) {
   constexpr int kNodes = 8;
   net::QosConfig qos;
   qos.queue_capacity = 256;
   net::Network net(qos);
-  net.events().set_scheduler(backend);
   net::ControlPlane cp(net);
 
   std::vector<net::NodeId> ids;
@@ -170,8 +162,7 @@ FastpathResult run_line(bool legacy, net::SchedulerBackend backend,
     core::RouterConfig cfg;
     cfg.type = (i == 0 || i == kNodes - 1) ? hw::RouterType::kLer
                                            : hw::RouterType::kLsr;
-    // Both modes disable the per-hop wire check so the comparison
-    // isolates the packet transport.
+    // No per-hop wire check: the run measures the packet transport.
     cfg.validate_wire = false;
     std::string name = "R";
     name += std::to_string(i);
@@ -184,7 +175,6 @@ FastpathResult run_line(bool legacy, net::SchedulerBackend backend,
   for (int i = 0; i + 1 < kNodes; ++i) {
     net.connect(ids[i], ids[i + 1], 1e9, 100e-6);
   }
-  net.set_legacy_fastpath(legacy);
 
   cp.establish_lsp(ids, *mpls::Prefix::parse("10.1.0.0/16"));
 
@@ -240,7 +230,6 @@ DomainResult run_disconnected_lines(std::size_t domains,
   net::QosConfig qos;
   qos.queue_capacity = 256;
   net::Network net(qos);
-  net.events().set_scheduler(net::SchedulerBackend::kCalendar);
   net::ControlPlane cp(net);
 
   std::vector<std::vector<net::NodeId>> lines(kLines);
@@ -250,7 +239,10 @@ DomainResult run_disconnected_lines(std::size_t domains,
       cfg.type = (i == 0 || i == kPerLine - 1) ? hw::RouterType::kLer
                                                : hw::RouterType::kLsr;
       cfg.validate_wire = false;
-      std::string name = "L" + std::to_string(l) + "R" + std::to_string(i);
+      std::string name = "L";
+      name += std::to_string(l);
+      name += 'R';
+      name += std::to_string(i);
       auto r = std::make_unique<core::EmbeddedRouter>(
           name, std::make_unique<sw::LinearEngine>(), cfg);
       auto* raw = r.get();
@@ -325,10 +317,7 @@ int main(int argc, char** argv) {
   const std::uint64_t total = quick ? 200'000 : 2'000'000;
   const unsigned timers = 64;
   const double seed_eps = bench_seed_events(total, timers);
-  const double heap_eps =
-      bench_inline_events(net::SchedulerBackend::kHeap, total, timers);
-  const double cal_eps =
-      bench_inline_events(net::SchedulerBackend::kCalendar, total, timers);
+  const double heap_eps = bench_inline_events(total, timers);
 
   bench::Table events({"event queue", "events/sec", "vs seed"});
   auto ratio = [](double a, double b) {
@@ -339,41 +328,22 @@ int main(int argc, char** argv) {
   events.add_row({"seed (pq + std::function)", human(seed_eps), "1.00x"});
   events.add_row({"heap + InlineEvent", human(heap_eps),
                   ratio(heap_eps, seed_eps)});
-  events.add_row({"calendar + InlineEvent", human(cal_eps),
-                  ratio(cal_eps, seed_eps)});
   events.print();
 
   // Part 2: packets/sec on the 8-node line.
   const double sim_seconds = quick ? 0.25 : 2.0;
-  const auto legacy =
-      run_line(/*legacy=*/true, net::SchedulerBackend::kHeap, sim_seconds);
-  const auto pooled_heap = run_line(/*legacy=*/false,
-                                    net::SchedulerBackend::kHeap, sim_seconds);
-  const auto pooled = run_line(/*legacy=*/false,
-                               net::SchedulerBackend::kCalendar, sim_seconds);
+  const auto pooled = run_line(sim_seconds);
 
   std::printf("\n");
   bench::Table line({"8-node line", "pkts/sec", "hops/sec", "events/sec",
                      "wall s", "pool hw", "heap-fallback ev"});
-  line.add_row({"legacy copy + heap", human(legacy.packets_per_sec),
-                human(legacy.hops_per_sec), human(legacy.events_per_sec),
-                std::to_string(legacy.wall_s),
-                std::to_string(legacy.pool_high_water),
-                std::to_string(legacy.heap_fallback_events)});
-  line.add_row({"pooled + heap", human(pooled_heap.packets_per_sec),
-                human(pooled_heap.hops_per_sec),
-                human(pooled_heap.events_per_sec),
-                std::to_string(pooled_heap.wall_s),
-                std::to_string(pooled_heap.pool_high_water),
-                std::to_string(pooled_heap.heap_fallback_events)});
-  line.add_row({"pooled + calendar", human(pooled.packets_per_sec),
+  line.add_row({"pooled", human(pooled.packets_per_sec),
                 human(pooled.hops_per_sec), human(pooled.events_per_sec),
                 std::to_string(pooled.wall_s),
                 std::to_string(pooled.pool_high_water),
                 std::to_string(pooled.heap_fallback_events)});
   line.print();
-  const double speedup = pooled.packets_per_sec / legacy.packets_per_sec;
-  std::printf("\nfast-path speedup: %.2fx\n\n", speedup);
+  std::printf("\n");
 
   // Part 3: the domain sweep.
   const double sweep_seconds = quick ? 0.25 : 1.0;
@@ -404,17 +374,10 @@ int main(int argc, char** argv) {
   json.set("quick", quick);
   json.set("events_per_sec.seed_pq_function", seed_eps);
   json.set("events_per_sec.heap_inline", heap_eps);
-  json.set("events_per_sec.calendar_inline", cal_eps);
-  auto line8 = [&](const std::string& key, const FastpathResult& r) {
-    json.set("line8." + key + ".packets_per_sec", r.packets_per_sec);
-    json.set("line8." + key + ".hops_per_sec", r.hops_per_sec);
-    json.set("line8." + key + ".wall_s", r.wall_s);
-    json.set("line8." + key + ".delivered", r.delivered);
-  };
-  line8("legacy", legacy);
-  line8("pooled_heap", pooled_heap);
-  line8("pooled", pooled);
-  json.set("line8.speedup", speedup);
+  json.set("line8.pooled.packets_per_sec", pooled.packets_per_sec);
+  json.set("line8.pooled.hops_per_sec", pooled.hops_per_sec);
+  json.set("line8.pooled.wall_s", pooled.wall_s);
+  json.set("line8.pooled.delivered", pooled.delivered);
   for (std::size_t i = 0; i < std::size(sweep); ++i) {
     const std::string key = "domains.d" + std::to_string(sweep[i]);
     json.set(key + ".events_per_sec", scaled[i].events_per_sec);
@@ -428,8 +391,6 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   bench::Checks checks;
-  checks.expect_true("both modes deliver the same packet count",
-                     legacy.delivered == pooled.delivered);
   checks.expect_true("pooled mode schedules no heap-fallback events",
                      pooled.heap_fallback_events == 0);
   checks.expect_true("pool high water is bounded (line depth, not load)",
@@ -449,9 +410,7 @@ int main(int argc, char** argv) {
   checks.expect_true("domain pool high water stays bounded",
                      sweep_pools_bounded);
 #ifdef NDEBUG
-  // The headline gates, meaningful only with optimisation on.
-  checks.expect_true("pooled+calendar >= 2x legacy packets/sec",
-                     speedup >= 2.0);
+  // The headline gate, meaningful only with optimisation on.
   if (std::thread::hardware_concurrency() >= 8) {
     checks.expect_true("8 domains >= 4x events/sec vs 1 domain",
                        domain_speedup >= 4.0);
@@ -459,7 +418,6 @@ int main(int argc, char** argv) {
     std::printf("  [SKIP] 4x domain gate (fewer than 8 hardware threads)\n");
   }
 #else
-  std::printf("  [SKIP] 2x gate (debug build; run Release to enforce)\n");
   std::printf("  [SKIP] 4x domain gate (debug build; run Release to enforce)\n");
 #endif
   return checks.exit_code();

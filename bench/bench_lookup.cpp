@@ -127,7 +127,7 @@ double updates_per_sec(sw::LabelEngine& engine, std::size_t occupancy,
 /// (level, key) stream.
 std::string line_scenario(const std::string& engine,
                           const std::string& cache, double stop_s) {
-  std::string s = "scheduler calendar\n";
+  std::string s;
   for (int i = 0; i < 8; ++i) {
     s += "router R" + std::to_string(i) + (i == 0 || i == 7 ? " ler" : " lsr");
     s += " engine=" + engine;

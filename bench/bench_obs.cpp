@@ -67,7 +67,6 @@ ObsResult run_line(Mode mode, double sim_seconds,
   net::QosConfig qos;
   qos.queue_capacity = 256;
   net::Network net(qos);
-  net.events().set_scheduler(net::SchedulerBackend::kCalendar);
   net::ControlPlane cp(net);
 
   std::vector<net::NodeId> ids;

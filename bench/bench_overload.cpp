@@ -176,7 +176,6 @@ SustainedResult sustained(double rate_pps, double sim_s) {
   net::QosConfig qos;
   qos.queue_capacity = 64;
   net::Network net(qos);
-  net.events().set_scheduler(net::SchedulerBackend::kCalendar);
   net::ControlPlane cp(net);
   std::vector<net::NodeId> ids;
   for (const char* name : {"LER", "EGR"}) {

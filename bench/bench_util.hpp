@@ -86,8 +86,8 @@ class Table {
 };
 
 /// CI artifact writer: collects (dotted key, value) pairs and emits
-/// them as nested JSON to BENCH_<name>.json.  "line8.legacy.pps" lands
-/// under {"line8": {"legacy": {"pps": ...}}}; keys sharing a prefix
+/// them as nested JSON to BENCH_<name>.json.  "line8.pooled.pps" lands
+/// under {"line8": {"pooled": {"pps": ...}}}; keys sharing a prefix
 /// must be added consecutively (the writer streams, it does not sort).
 /// Every artifact is stamped with the build config and `git describe`
 /// so CI uploads are traceable to a commit.

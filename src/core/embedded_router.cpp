@@ -439,15 +439,11 @@ void EmbeddedRouter::process(Pending work) {
   }
 
   // The datapath is busy for the processing latency; only then does the
-  // next queued packet enter it.  On the fast path the engine-idle
-  // transition rides inside the launch event (same instant, same
-  // relative order, one event instead of two); the discard paths launch
-  // nothing, so they fall back to a dedicated event.  Legacy mode keeps
-  // the seed's split events.
-  const bool fuse = config_.serialize_engine && !net->legacy_fastpath();
-  if (config_.serialize_engine && !fuse) {
-    net->events().schedule_in(latency, [this] { engine_done(); });
-  }
+  // next queued packet enter it.  The engine-idle transition rides inside
+  // the launch event (same instant, same relative order, one event
+  // instead of two); the discard paths launch nothing, so they fall back
+  // to a dedicated event.
+  const bool fuse = config_.serialize_engine;
   const bool fused = launch(std::move(work), cls, before, outcome, latency,
                             fuse, reason_override);
   if (fuse && !fused) {

@@ -155,7 +155,6 @@ std::optional<double> registry_value(const obs::MetricsRegistry& metrics,
 std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
     const net::Scenario& scenario) {
   net::Network net(scenario.qos);
-  net.events().set_scheduler(scenario.scheduler);
   net::ControlPlane cp(net);
   Report report;
 

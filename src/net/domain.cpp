@@ -61,14 +61,12 @@ DomainRuntime::DomainRuntime(Network& net,
   queues_.resize(domain_count);
   pools_[0] = &net.pool();
   queues_[0] = &net.events();
-  const SchedulerBackend backend = net.events().scheduler();
   owned_pools_.reserve(domain_count - 1);
   owned_queues_.reserve(domain_count - 1);
   for (std::uint32_t d = 1; d < domain_count; ++d) {
     owned_pools_.push_back(std::make_unique<PacketPool>());
     pools_[d] = owned_pools_.back().get();
     owned_queues_.push_back(std::make_unique<EventQueue>());
-    owned_queues_.back()->set_scheduler(backend);
     queues_[d] = owned_queues_.back().get();
   }
   counters_.resize(domain_count);
@@ -429,7 +427,6 @@ EventQueue::Stats DomainRuntime::queue_stats() const {
     out.clamped += s.clamped;
     out.events_inline += s.events_inline;
     out.events_heap_fallback += s.events_heap_fallback;
-    out.calendar_rebuilds += s.calendar_rebuilds;
   }
   return out;
 }

@@ -3,7 +3,7 @@
 //
 // Network::partition() splits the topology's nodes into *event domains*.
 // Each domain owns its own EventQueue and PacketPool (domain 0 aliases
-// the network's), so the hot per-hop state — the calendar buckets, the
+// the network's), so the hot per-hop state — the event heap, the
 // packet slabs, the freelist — is private to one execution context and
 // never bounces between caches.  Links whose endpoints live in different
 // domains become *boundary links*: instead of scheduling the arrival on

@@ -47,28 +47,12 @@ void Link::transmit(PacketHandle packet) {
                obs::DropReason::kLinkDown);
     return;
   }
-  if (!legacy_copy_) {
-    // Fast path.  An idle transmitter with empty queues cuts the packet
-    // straight through — same drop policy and queue accounting, but no
-    // ring traffic and no tx-complete event; the hop costs exactly one
-    // scheduled event (the arrival).
-    if (!drain_pending_ && queue_.empty() &&
-        events_->now() >= busy_until_) {
-      if (!queue_.admit_cut_through(*packet)) {
-        if (drop_hook_) {
-          drop_hook_(*packet, "queue-full");
-        }
-        trace_drop(tracer_, link_id_, packet.get(), events_->now(),
-                   obs::DropReason::kQueueOverflow);
-        return;
-      }
-      begin_tx(std::move(packet));
-      return;
-    }
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->mark(packet.get(), events_->now());
-    }
-    if (!queue_.enqueue(std::move(packet))) {
+  // An idle transmitter with empty queues cuts the packet straight
+  // through — same drop policy and queue accounting, but no ring traffic
+  // and no tx-complete event; the hop costs exactly one scheduled event
+  // (the arrival).
+  if (!drain_pending_ && queue_.empty() && events_->now() >= busy_until_) {
+    if (!queue_.admit_cut_through(*packet)) {
       if (drop_hook_) {
         drop_hook_(*packet, "queue-full");
       }
@@ -76,15 +60,14 @@ void Link::transmit(PacketHandle packet) {
                  obs::DropReason::kQueueOverflow);
       return;
     }
-    if (!drain_pending_) {
-      drain_pending_ = true;
-      const SimTime at = std::max(events_->now(), busy_until_);
-      events_->schedule_at(at, [this] { drain(); });
-    }
+    begin_tx(std::move(packet));
     return;
   }
-  // Legacy baseline.  enqueue leaves the handle intact on refusal, so
-  // drop attribution reads the original packet — no defensive copy.
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    tracer_->mark(packet.get(), events_->now());
+  }
+  // enqueue leaves the handle intact on refusal, so drop attribution
+  // reads the original packet — no defensive copy.
   if (!queue_.enqueue(std::move(packet))) {
     if (drop_hook_) {
       drop_hook_(*packet, "queue-full");
@@ -93,8 +76,10 @@ void Link::transmit(PacketHandle packet) {
                obs::DropReason::kQueueOverflow);
     return;
   }
-  if (!busy_) {
-    start_next();
+  if (!drain_pending_) {
+    drain_pending_ = true;
+    const SimTime at = std::max(events_->now(), busy_until_);
+    events_->schedule_at(at, [this] { drain(); });
   }
 }
 
@@ -148,39 +133,6 @@ void Link::drain() {
     return;
   }
   events_->schedule_at(busy_until_, [this] { drain(); });
-}
-
-void Link::start_next() {
-  PacketHandle next = queue_.dequeue();
-  if (!next) {
-    busy_ = false;
-    return;
-  }
-  busy_ = true;
-  const double bits = static_cast<double>(next->wire_size()) * 8.0;
-  const SimTime tx_time = bits / bandwidth_;
-  stats_.tx_packets += 1;
-  stats_.tx_bytes += next->wire_size();
-  stats_.busy_time += tx_time;
-  // Legacy mode deep-copies the packet per stage, so pointer-keyed
-  // journeys cannot follow it — histogram only, no spans.
-  if (transit_hist_ != nullptr) {
-    transit_hist_->record(
-        static_cast<std::uint64_t>((tx_time + prop_delay_) * 1e9));
-  }
-
-  // At transmission end: launch the packet down the propagation pipe
-  // (which never blocks) and pick up the next queued packet.  Baseline
-  // path: value-capture the packet in both closures, exactly as the
-  // pre-pool transmitter did — one deep copy plus (because the
-  // payload-bearing closure outgrows the inline buffer) one closure
-  // heap allocation per stage.
-  events_->schedule_in(tx_time, [this, p = *next]() mutable {
-    events_->schedule_in(prop_delay_, [this, p = std::move(p)]() mutable {
-      dst_->receive(std::move(p), dst_in_if_);
-    });
-    start_next();
-  });
 }
 
 double Link::utilization() const noexcept {

@@ -58,12 +58,6 @@ class Link {
   void set_up(bool up) noexcept { up_ = up; }
   [[nodiscard]] bool is_up() const noexcept { return up_; }
 
-  /// Benchmark baseline: deep-copy the packet into each scheduled
-  /// closure (the pre-pool simulator's behaviour) instead of moving the
-  /// handle through.  Off by default; bench_fastpath flips it to measure
-  /// what the fast path buys.
-  void set_legacy_copy_mode(bool on) noexcept { legacy_copy_ = on; }
-
   /// Observation hook for packets this link drops (offered while down,
   /// or refused by a full queue).  Conservation audits subscribe via
   /// Network::add_link_drop_handler; unset, drops cost nothing extra.
@@ -73,9 +67,9 @@ class Link {
   /// Partitioned execution support (net/domain.hpp).  A link belongs to
   /// its *source* node's domain: rebind_events points the transmitter at
   /// that domain's queue.  When the destination lives in another domain
-  /// the handoff hook replaces the arrival event — the fast-path
-  /// transmitter calls it with the computed arrival time and the packet,
-  /// and the domain runtime carries both across the boundary.
+  /// the handoff hook replaces the arrival event — the transmitter calls
+  /// it with the computed arrival time and the packet, and the domain
+  /// runtime carries both across the boundary.
   void rebind_events(EventQueue& events) noexcept { events_ = &events; }
   using HandoffHook = std::function<void(SimTime arrive_at, PacketHandle)>;
   void set_handoff_hook(HandoffHook hook) { handoff_hook_ = std::move(hook); }
@@ -99,14 +93,9 @@ class Link {
   }
 
  private:
-  /// Legacy transmitter: busy flag + a tx-complete event per packet that
-  /// re-arms the transmitter (the seed's structure).
-  void start_next();
-
-  /// Fast-path transmitter: serialisation is tracked as a time
-  /// (busy_until_), so an uncontended hop costs a single event — the
-  /// arrival — and queued backlogs are drained by one self-rescheduling
-  /// drain event.
+  /// Serialisation is tracked as a time (busy_until_), so an
+  /// uncontended hop costs a single event — the arrival — and queued
+  /// backlogs are drained by one self-rescheduling drain event.
   void begin_tx(PacketHandle packet);
   void drain();
 
@@ -116,11 +105,9 @@ class Link {
   double bandwidth_;
   SimTime prop_delay_;
   CosQueueSet queue_;
-  bool busy_ = false;           // legacy path only
-  bool drain_pending_ = false;  // fast path only
+  bool drain_pending_ = false;
   bool up_ = true;
-  bool legacy_copy_ = false;
-  SimTime busy_until_ = 0.0;  // fast path: transmitter serialising until
+  SimTime busy_until_ = 0.0;  // transmitter serialising until
   LinkStats stats_;
   DropHook drop_hook_;
   HandoffHook handoff_hook_;  // set only on domain-boundary links

@@ -100,7 +100,7 @@ bool Network::partition(std::size_t domains, SyncMode mode) {
 
 bool Network::partition(std::vector<std::uint32_t> node_domain,
                         std::uint32_t domain_count, SyncMode mode) {
-  if (domains_ != nullptr || legacy_fastpath_ || domain_count < 2 ||
+  if (domains_ != nullptr || domain_count < 2 ||
       node_domain.size() != nodes_.size()) {
     return false;
   }
@@ -162,7 +162,6 @@ SimStats Network::sim_stats() const noexcept {
   s.events_inline = ev.events_inline;
   s.events_heap_fallback = ev.events_heap_fallback;
   s.clamped_schedules = ev.clamped;
-  s.calendar_rebuilds = ev.calendar_rebuilds;
   s.packets_acquired = pool.acquired;
   s.packets_recycled = pool.recycled;
   s.pool_high_water = pool.high_water;
@@ -398,10 +397,6 @@ void Network::export_metrics(obs::MetricsRegistry& metrics) const {
   metrics.counter("empls_sim_events_heap_total").set(s.events_heap_fallback);
   metrics.counter("empls_sim_clamped_schedules_total")
       .set(s.clamped_schedules);
-  metrics
-      .counter("empls_sim_calendar_rebuilds_total", "",
-               "calendar-queue bucket-array resizes")
-      .set(s.calendar_rebuilds);
   metrics.counter("empls_sim_packets_acquired_total")
       .set(s.packets_acquired);
   metrics.counter("empls_sim_packets_recycled_total")

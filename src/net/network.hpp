@@ -124,23 +124,6 @@ class Network {
       std::function<void(const mpls::Packet&, std::string_view reason)>;
   void add_link_drop_handler(LinkDropHandler handler);
 
-  /// Benchmark baseline switch: `legacy` restores the pre-pool
-  /// simulator's allocation behaviour — one heap packet per acquire and
-  /// a deep copy into every per-hop closure.  Affects links already
-  /// created; call after the topology is built.
-  void set_legacy_fastpath(bool legacy) {
-    legacy_fastpath_ = legacy;
-    pool_.set_pooling(!legacy);
-    for (auto& link : links_) {
-      link->set_legacy_copy_mode(legacy);
-    }
-  }
-  /// Routers consult this to reproduce the seed's event structure in
-  /// legacy mode (separate engine-free and launch events per packet).
-  [[nodiscard]] bool legacy_fastpath() const noexcept {
-    return legacy_fastpath_;
-  }
-
   /// Hand a packet to a node as locally injected traffic.
   void inject(NodeId id, PacketHandle packet);
   /// Compatibility overload: wraps the bare packet in a heap-owned
@@ -219,8 +202,7 @@ class Network {
   /// before scheduling any traffic — events already queued stay on
   /// domain 0.  Returns false and leaves the network unpartitioned when
   /// the configuration cannot run partitioned: fewer than 2 domains
-  /// after clamping to the node count, an existing partition, the
-  /// legacy fastpath (its transmitter bypasses the handoff hook), or
+  /// after clamping to the node count, an existing partition, or
   /// free-running mode with a zero-delay boundary link (zero lookahead
   /// cannot make progress).
   bool partition(std::size_t domains, SyncMode mode);
@@ -269,7 +251,6 @@ class Network {
   std::vector<LinkSignalHandler> link_signals_;
   std::vector<LinkDropHandler> link_drops_;
   std::uint64_t delivered_ = 0;
-  bool legacy_fastpath_ = false;
 
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::HopTracer* tracer_ = nullptr;

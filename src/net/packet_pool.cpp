@@ -6,11 +6,6 @@ namespace empls::net {
 
 PacketHandle PacketPool::acquire() {
   ++stats_.acquired;
-  if (!pooling_) {
-    // Baseline mode: behave like the pre-pool simulator (one heap packet
-    // per acquire, freed on release).
-    return PacketHandle(new mpls::Packet(), nullptr);
-  }
   mpls::Packet* p = nullptr;
   if (!free_.empty()) {
     p = free_.back();

@@ -92,11 +92,6 @@ class PacketPool {
   /// capacity, so a warmed-up pool allocates nothing here.
   [[nodiscard]] PacketHandle acquire();
 
-  /// Benchmark baseline switch: with pooling off, acquire() news and
-  /// release deletes — the seed's one-allocation-per-packet behaviour.
-  void set_pooling(bool enabled) noexcept { pooling_ = enabled; }
-  [[nodiscard]] bool pooling() const noexcept { return pooling_; }
-
   struct Stats {
     std::uint64_t acquired = 0;   // total acquire() calls
     std::uint64_t recycled = 0;   // acquires served from the freelist
@@ -111,7 +106,6 @@ class PacketPool {
   void release(mpls::Packet* p) noexcept;
 
   std::size_t slab_packets_;
-  bool pooling_ = true;
   std::vector<std::unique_ptr<mpls::Packet[]>> slabs_;
   std::vector<mpls::Packet*> free_;
   Stats stats_;

@@ -179,6 +179,12 @@ struct ScenarioParser {
               !(*v < range.lo || *v > range.hi ||
                 (range.lo_open && *v <= range.lo));
     if constexpr (std::is_integral_v<T>) {
+      // Bound by the field's type before any cast: casting a double the
+      // type cannot hold is undefined behaviour.  2^digits is exact as a
+      // double (uint64_t's maximum rounds up to it), so `>=` is exact.
+      using Limits = std::numeric_limits<T>;
+      ok = ok && !(*v < static_cast<double>(Limits::min()) ||
+                   *v >= std::ldexp(1.0, Limits::digits));
       ok = ok && !(range.integer &&
                    *v != static_cast<double>(static_cast<T>(*v)));
     }
@@ -324,16 +330,6 @@ bool parse_qos(ScenarioParser& p) {
       return p.fail("unknown qos option: " + t);
     }
   }
-  return true;
-}
-
-bool parse_scheduler(ScenarioParser& p) {
-  std::size_t k = 0;
-  if (!p.pick(p.args[0], "scheduler", {"heap", "calendar"}, k)) {
-    return false;
-  }
-  p.s.scheduler =
-      k == 0 ? SchedulerBackend::kHeap : SchedulerBackend::kCalendar;
   return true;
 }
 
@@ -733,8 +729,6 @@ bool parse_run(ScenarioParser& p) {
 constexpr ScenarioDirective kDirectives[] = {
     {.name = "qos", .max_args = kMany,
      .usage = "strict|fifo|wrr [capacity=64] [red]", .parse = parse_qos},
-    {.name = "scheduler", .assign = true, .min_args = 1, .max_args = 1,
-     .usage = "heap|calendar", .parse = parse_scheduler},
     {.name = "domains", .assign = true, .min_args = 1, .max_args = 1,
      .usage = "<N>|auto", .parse = parse_domains},
     {.name = "sync", .assign = true, .min_args = 1, .max_args = 1,

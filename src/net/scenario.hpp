@@ -211,9 +211,6 @@ class Scenario {
   static std::variant<Scenario, ScenarioError> parse(std::string_view text);
 
   QosConfig qos;
-  /// `scheduler heap|calendar` (or `scheduler=..`): event-queue backend.
-  /// Both produce identical event order; calendar is the O(1) fast path.
-  SchedulerBackend scheduler = SchedulerBackend::kHeap;
   /// `domains <N>|auto` (or `domains=..`): partition the topology into
   /// N event domains (net/domain.hpp).  1 (the default) runs the plain
   /// single-queue simulator; 0 means "auto" — one domain per hardware

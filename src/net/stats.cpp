@@ -60,10 +60,8 @@ const FlowStats::Flow& FlowStats::flow(std::uint32_t flow_id) const {
 
 std::string SimStats::summary() const {
   std::ostringstream out;
-  // calendar_rebuilds is deliberately absent: it is a backend
-  // implementation counter (the heap never rebuilds), and the summary
-  // doubles as the cross-backend differential fingerprint.  It is
-  // exported as empls_sim_calendar_rebuilds_total instead.
+  // The always-zero rebuild count is left out: the summary is the
+  // fingerprint that differential runs compare.
   out << "events=" << events_executed << " inline=" << events_inline
       << " heap_fallback=" << events_heap_fallback
       << " clamped=" << clamped_schedules

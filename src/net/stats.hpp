@@ -44,7 +44,7 @@ struct SimStats {
   std::uint64_t events_inline = 0;         // closures in the 64-byte buffer
   std::uint64_t events_heap_fallback = 0;  // oversized closures
   std::uint64_t clamped_schedules = 0;     // schedule_at(at < now()) fixups
-  std::uint64_t calendar_rebuilds = 0;     // bucket-array resizes
+  std::uint64_t calendar_rebuilds = 0;     // always 0; bench_e2e reads it
   std::uint64_t packets_acquired = 0;
   std::uint64_t packets_recycled = 0;
   std::size_t pool_high_water = 0;  // peak concurrent pooled packets

@@ -1,7 +1,7 @@
 // Zero heap allocations per forwarded packet (DESIGN.md §8).  This
 // binary replaces the global operator new/delete with counting
 // versions, warms an 8-router LER–LSR⁶–LER line on library defaults
-// (linear engine, wire validation on, heap scheduler) and then asserts
+// (linear engine, wire validation on) and then asserts
 // that thousands more packets cross it without a single allocation.
 #include <gtest/gtest.h>
 
@@ -104,7 +104,6 @@ TEST(ZeroAlloc, WarmedLineForwardsWithoutAllocating) {
     net.connect(path[i], path[i + 1], 1e9, 100e-6);
   }
   ASSERT_TRUE(cp.establish_lsp(path, *mpls::Prefix::parse("10.1.0.0/16")));
-  ASSERT_EQ(net.events().scheduler(), net::SchedulerBackend::kHeap);
 
   // Four CBR flows, 25 us apart in phase so they take turns at the
   // ingress engine.  (Packets that wait for a busy engine queue in a

@@ -4,8 +4,7 @@
 // must leave the network untouched, first-event routing, and exact
 // (bit-identical) agreement between the deterministic merge and the
 // unpartitioned simulator.  Also pins the sim-counter metrics snapshot
-// (clamped schedules + calendar rebuilds) that the summary fingerprint
-// deliberately omits.
+// (clamped schedules) and what the summary fingerprint omits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -162,12 +161,6 @@ TEST(DomainPartition, RefusalsLeaveTheNetworkUnpartitioned) {
     ASSERT_TRUE(rig.net.partition(2, SyncMode::kDeterministic));
     EXPECT_FALSE(rig.net.partition(2, SyncMode::kDeterministic));
     EXPECT_NE(rig.net.domain_runtime(), nullptr);
-  }
-  {  // Legacy fastpath bypasses the handoff hook in the transmitter.
-    LineRig rig(1e-3, 1e-3, 1e-3);
-    rig.net.set_legacy_fastpath(true);
-    EXPECT_FALSE(rig.net.partition(2, SyncMode::kDeterministic));
-    EXPECT_EQ(rig.net.domain_runtime(), nullptr);
   }
   {  // Explicit map with an out-of-range domain id.
     LineRig rig(1e-3, 1e-3, 1e-3);
@@ -343,8 +336,10 @@ TEST(DomainPartition, FreeModeProfilerAttributesTheWallTime) {
   constexpr NodeId kNodes = 16;  // two per domain under the block map
   std::vector<NodeId> chain;
   for (NodeId i = 0; i < kNodes - 1; ++i) {
-    chain.push_back(net.add_node(std::make_unique<RelayNode>(
-        "R" + std::to_string(i), i == 0 ? 0 : 1)));
+    std::string name = "R";
+    name += std::to_string(i);
+    chain.push_back(
+        net.add_node(std::make_unique<RelayNode>(name, i == 0 ? 0 : 1)));
   }
   chain.push_back(net.add_node(std::make_unique<SinkNode>("S")));
   for (NodeId i = 0; i + 1 < kNodes; ++i) {
@@ -404,13 +399,7 @@ TEST(SimMetrics, ClampAndRebuildCountersExportedNotFingerprinted) {
   const NodeId a = net.add_node(std::make_unique<RelayNode>("A", 0));
   const NodeId b = net.add_node(std::make_unique<SinkNode>("B"));
   net.connect(a, b, 1e6, 1e-3);
-  net.events().set_scheduler(SchedulerBackend::kCalendar);
-  // Spread enough events to force at least one calendar bucket-array
-  // rebuild, then schedule into the past to force a clamp.
-  for (int i = 0; i < 4096; ++i) {
-    net.events().schedule_at(i * 1e-4, [] {});
-  }
-  net.run();
+  // Schedule into the past to force a clamp.
   net.events().schedule_at(-1.0, [] {});
   net.run();
   net.inject(a, sized_packet(64));
@@ -419,16 +408,11 @@ TEST(SimMetrics, ClampAndRebuildCountersExportedNotFingerprinted) {
   obs::MetricsRegistry reg;
   net.export_metrics(reg);
   const auto* clamped = reg.find_counter("empls_sim_clamped_schedules_total");
-  const auto* rebuilds = reg.find_counter("empls_sim_calendar_rebuilds_total");
   ASSERT_NE(clamped, nullptr);
-  ASSERT_NE(rebuilds, nullptr);
   EXPECT_GE(clamped->value(), 1u);
-  EXPECT_GE(rebuilds->value(), 1u);
   const SimStats sim = net.sim_stats();
   EXPECT_EQ(sim.clamped_schedules, clamped->value());
-  EXPECT_EQ(sim.calendar_rebuilds, rebuilds->value());
-  // The summary doubles as the cross-backend differential fingerprint:
-  // the backend-specific rebuild counter must stay out of it.
+  // The always-zero rebuild count stays out of the summary fingerprint.
   EXPECT_EQ(sim.summary().find("rebuilds"), std::string::npos);
   EXPECT_NE(sim.summary().find("clamped="), std::string::npos);
 }

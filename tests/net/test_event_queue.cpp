@@ -1,9 +1,10 @@
 // Unit tests for the discrete-event scheduler: ordering, determinism,
-// bounded runs — run against both backends (heap and calendar), which
-// must be observationally identical.
+// bounded runs, and a randomized trace checked against a reference
+// scheduler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <random>
@@ -15,18 +16,8 @@
 namespace empls::net {
 namespace {
 
-class EventQueueBackends
-    : public ::testing::TestWithParam<SchedulerBackend> {
- protected:
-  EventQueue make() {
-    EventQueue q;
-    q.set_scheduler(GetParam());
-    return q;
-  }
-};
-
-TEST_P(EventQueueBackends, RunsInTimeOrder) {
-  EventQueue q = make();
+TEST(EventQueue, RunsInTimeOrder) {
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(3.0, [&] { order.push_back(3); });
   q.schedule_at(1.0, [&] { order.push_back(1); });
@@ -36,8 +27,8 @@ TEST_P(EventQueueBackends, RunsInTimeOrder) {
   EXPECT_EQ(q.now(), 3.0);
 }
 
-TEST_P(EventQueueBackends, TiesRunInSchedulingOrder) {
-  EventQueue q = make();
+TEST(EventQueue, TiesRunInSchedulingOrder) {
+  EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     q.schedule_at(1.0, [&order, i] { order.push_back(i); });
@@ -46,8 +37,8 @@ TEST_P(EventQueueBackends, TiesRunInSchedulingOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST_P(EventQueueBackends, CallbacksMayScheduleMore) {
-  EventQueue q = make();
+TEST(EventQueue, CallbacksMayScheduleMore) {
+  EventQueue q;
   int fired = 0;
   std::function<void()> chain = [&] {
     ++fired;
@@ -65,8 +56,8 @@ TEST_P(EventQueueBackends, CallbacksMayScheduleMore) {
 // schedules enough events to move the slab several times while it runs,
 // then reads its own captures: a queue that ran callbacks in place in
 // the slab would read freed memory here (ASan reports it).
-TEST_P(EventQueueBackends, CallbackGrowingTheSlabKeepsItsCaptures) {
-  EventQueue q = make();
+TEST(EventQueue, CallbackGrowingTheSlabKeepsItsCaptures) {
+  EventQueue q;
   int seen = 0;
   int children = 0;
   q.schedule_at(1.0, [&q, &seen, &children, token = std::make_unique<int>(7),
@@ -81,8 +72,8 @@ TEST_P(EventQueueBackends, CallbackGrowingTheSlabKeepsItsCaptures) {
   EXPECT_EQ(children, 1000);
 }
 
-TEST_P(EventQueueBackends, RunUntilLeavesLaterEventsQueued) {
-  EventQueue q = make();
+TEST(EventQueue, RunUntilLeavesLaterEventsQueued) {
+  EventQueue q;
   int fired = 0;
   q.schedule_at(1.0, [&] { ++fired; });
   q.schedule_at(5.0, [&] { ++fired; });
@@ -94,16 +85,16 @@ TEST_P(EventQueueBackends, RunUntilLeavesLaterEventsQueued) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST_P(EventQueueBackends, ScheduleInIsRelative) {
-  EventQueue q = make();
+TEST(EventQueue, ScheduleInIsRelative) {
+  EventQueue q;
   double seen = -1;
   q.schedule_at(2.0, [&] { q.schedule_in(1.5, [&] { seen = q.now(); }); });
   q.run();
   EXPECT_DOUBLE_EQ(seen, 3.5);
 }
 
-TEST_P(EventQueueBackends, EmptyQueueRunIsNoop) {
-  EventQueue q = make();
+TEST(EventQueue, EmptyQueueRunIsNoop) {
+  EventQueue q;
   EXPECT_EQ(q.run(), 0u);
   EXPECT_TRUE(q.empty());
 }
@@ -111,8 +102,8 @@ TEST_P(EventQueueBackends, EmptyQueueRunIsNoop) {
 // Regression: schedule_at used to accept a time in the past silently,
 // executing the event "before" already-executed ones and stepping the
 // clock backwards.  It must clamp to now() and count the fixup.
-TEST_P(EventQueueBackends, PastScheduleClampsToNow) {
-  EventQueue q = make();
+TEST(EventQueue, PastScheduleClampsToNow) {
+  EventQueue q;
   double ran_at = -1.0;
   q.schedule_at(2.0, [&] {
     q.schedule_at(1.0, [&] { ran_at = q.now(); });  // 1.0 < now()=2.0
@@ -124,8 +115,8 @@ TEST_P(EventQueueBackends, PastScheduleClampsToNow) {
   EXPECT_EQ(q.stats().clamped, 1u);
 }
 
-TEST_P(EventQueueBackends, ClampedEventRunsAfterSameTimeEvents) {
-  EventQueue q = make();
+TEST(EventQueue, ClampedEventRunsAfterSameTimeEvents) {
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(2.0, [&] {
     order.push_back(0);
@@ -137,9 +128,9 @@ TEST_P(EventQueueBackends, ClampedEventRunsAfterSameTimeEvents) {
       << "a clamped event keeps its (later) sequence number";
 }
 
-TEST_P(EventQueueBackends, MoveOnlyCallablesAreSupported) {
+TEST(EventQueue, MoveOnlyCallablesAreSupported) {
   // std::function required copyability; InlineEvent must not.
-  EventQueue q = make();
+  EventQueue q;
   auto token = std::make_unique<int>(42);
   int seen = 0;
   q.schedule_at(1.0, [t = std::move(token), &seen] { seen = *t; });
@@ -147,10 +138,9 @@ TEST_P(EventQueueBackends, MoveOnlyCallablesAreSupported) {
   EXPECT_EQ(seen, 42);
 }
 
-TEST_P(EventQueueBackends, SparseAndClusteredTimesBothOrder) {
-  // Mixes dense clusters with decade-apart gaps: exercises the calendar
-  // backend's cursor rotation and direct-search fallback.
-  EventQueue q = make();
+TEST(EventQueue, SparseAndClusteredTimesBothOrder) {
+  // Mixes dense clusters with decade-apart gaps.
+  EventQueue q;
   std::vector<double> times;
   for (double base : {0.0, 1e-6, 1.0, 1e3, 1e6}) {
     for (int i = 0; i < 20; ++i) {
@@ -168,13 +158,6 @@ TEST_P(EventQueueBackends, SparseAndClusteredTimesBothOrder) {
   EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, EventQueueBackends,
-    ::testing::Values(SchedulerBackend::kHeap, SchedulerBackend::kCalendar),
-    [](const auto& info) {
-      return info.param == SchedulerBackend::kHeap ? "Heap" : "Calendar";
-    });
-
 TEST(EventQueue, InlineAndHeapFallbackAreCounted) {
   EventQueue q;
   q.schedule_at(1.0, [] {});  // captureless: inline
@@ -190,48 +173,74 @@ TEST(EventQueue, InlineAndHeapFallbackAreCounted) {
   EXPECT_EQ(q.stats().executed, 2u);
 }
 
-TEST(EventQueue, SwitchingBackendMidRunPreservesOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    q.schedule_at(1.0 + i * 0.25, [&order, i] { order.push_back(i); });
+/// Reference scheduler for the randomized trace below: pending events
+/// in a plain vector, each dispatch scanning for the (time, seq)
+/// minimum, with the same past-time clamp as EventQueue.
+class ReferenceQueue {
+ public:
+  void schedule_at(double at, std::function<void()> fn) {
+    events_.push_back({std::max(at, now_), next_seq_++, std::move(fn)});
   }
-  q.run_until(1.6);  // runs 0, 1, 2
-  q.set_scheduler(SchedulerBackend::kCalendar);
+  void schedule_in(double delay, std::function<void()> fn) {
+    schedule_at(now_ + delay, std::move(fn));
+  }
+  [[nodiscard]] double now() const { return now_; }
+  void run() {
+    while (!events_.empty()) {
+      const auto first = std::min_element(
+          events_.begin(), events_.end(), [](const Event& a, const Event& b) {
+            return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+          });
+      Event ev = std::move(*first);
+      events_.erase(first);
+      now_ = ev.time;
+      ev.fn();
+    }
+  }
+
+ private:
+  struct Event {
+    double time;
+    std::uint64_t seq;
+    std::function<void()> fn;
+  };
+  std::vector<Event> events_;
+  double now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+};
+
+/// A seeded workload: 1000 roots at random times, and callbacks that
+/// schedule children (a quarter of the events have one).  Returns the
+/// (time, id) order the events ran in.
+template <typename Queue>
+std::vector<std::pair<double, int>> randomized_trace() {
+  Queue q;
+  std::vector<std::pair<double, int>> trace;
+  std::mt19937 rng(12345);
+  std::uniform_real_distribution<double> when(0.0, 10.0);
+  std::uniform_int_distribution<int> coin(0, 3);
+  int next_id = 0;
+  std::function<void(int)> fire = [&](int id) {
+    trace.emplace_back(q.now(), id);
+    if (coin(rng) == 0 && next_id < 4000) {
+      const int child = next_id++;
+      q.schedule_in(when(rng) * 0.1, [&fire, child] { fire(child); });
+    }
+  };
+  for (int i = 0; i < 1000; ++i) {
+    const int id = next_id++;
+    q.schedule_at(when(rng), [&fire, id] { fire(id); });
+  }
   q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  return trace;
 }
 
-// Golden-trace equivalence: a randomized workload (including events that
-// schedule further events) must execute in the exact same order on both
-// backends.
-TEST(EventQueue, RandomizedTraceIsBackendIdentical) {
-  auto trace_with = [](SchedulerBackend backend) {
-    EventQueue q;
-    q.set_scheduler(backend);
-    std::vector<std::pair<double, int>> trace;
-    std::mt19937 rng(12345);
-    std::uniform_real_distribution<double> when(0.0, 10.0);
-    std::uniform_int_distribution<int> coin(0, 3);
-    int next_id = 0;
-    std::function<void(int)> fire = [&](int id) {
-      trace.emplace_back(q.now(), id);
-      if (coin(rng) == 0 && next_id < 4000) {
-        const int child = next_id++;
-        q.schedule_in(when(rng) * 0.1, [&fire, child] { fire(child); });
-      }
-    };
-    for (int i = 0; i < 1000; ++i) {
-      const int id = next_id++;
-      q.schedule_at(when(rng), [&fire, id] { fire(id); });
-    }
-    q.run();
-    return trace;
-  };
-  const auto heap = trace_with(SchedulerBackend::kHeap);
-  const auto calendar = trace_with(SchedulerBackend::kCalendar);
-  ASSERT_EQ(heap.size(), calendar.size());
-  EXPECT_EQ(heap, calendar);
+TEST(EventQueue, RandomizedTraceMatchesReferenceScheduler) {
+  const auto heap = randomized_trace<EventQueue>();
+  const auto reference = randomized_trace<ReferenceQueue>();
+  ASSERT_GT(heap.size(), 1000u) << "callbacks scheduled children";
+  ASSERT_EQ(heap.size(), reference.size());
+  EXPECT_EQ(heap, reference);
 }
 
 }  // namespace

@@ -70,17 +70,6 @@ TEST(PacketPool, WarmPoolStopsGrowingCapacity) {
   EXPECT_EQ(pool.stats().recycled, pool.stats().acquired - 1);
 }
 
-TEST(PacketPool, PoolingDisabledFallsBackToHeap) {
-  PacketPool pool;
-  pool.set_pooling(false);
-  {
-    auto p = pool.acquire();
-    ASSERT_TRUE(p);
-  }
-  EXPECT_EQ(pool.stats().recycled, 0u);
-  EXPECT_EQ(pool.stats().capacity, 0u) << "no slabs in baseline mode";
-}
-
 TEST(PacketHandle, MoveTransfersOwnership) {
   PacketPool pool;
   auto a = pool.acquire();

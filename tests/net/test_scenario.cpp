@@ -197,6 +197,32 @@ TEST(ScenarioParse, RejectsNonFiniteNumbers) {
   EXPECT_EQ(s.flows[0].cos, 3);
 }
 
+// An integer field takes only values its type holds: casting a finite
+// double outside the type's range is undefined behaviour (`flow cbr 5e9`
+// used to run as flow 705032704).
+TEST(ScenarioParse, RejectsIntegersOutsideTheirType) {
+  struct Case {
+    const char* text;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"router A ler\nflow cbr 5e9 A 10.0.0.1\n", "bad flow id: 5e9"},
+      {"router A ler\nflow poisson 1 A 10.0.0.1 rate=500 seed=1e30\n",
+       "bad seed: 1e30"},
+      {"router A ler\nflow poisson 1 A 10.0.0.1 rate=500 seed=-1\n",
+       "bad seed: -1"},
+  };
+  for (const Case& c : cases) {
+    const auto err = parse_err(c.text);
+    EXPECT_EQ(err.line, 2) << c.text;
+    EXPECT_EQ(err.message, c.message) << c.text;
+  }
+  // The type's own maximum still parses.
+  const auto s = parse_ok("router A ler\nflow cbr 4294967295 A 10.0.0.1\n");
+  ASSERT_EQ(s.flows.size(), 1u);
+  EXPECT_EQ(s.flows[0].id, 4294967295u);
+}
+
 TEST(ScenarioParse, RejectsShortDeclarations) {
   EXPECT_EQ(parse_err("router A\n").line, 1);
   EXPECT_EQ(parse_err("router A ler\nlink A\n").line, 2);
