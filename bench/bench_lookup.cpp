@@ -1,18 +1,18 @@
-// Extension experiment X6: the vectorized SoA lookup engine and the
-// per-router flow cache.
+// Extension experiment X6: the linear engine's block-compare scan and
+// the per-router flow cache.
 //
 // Part 1 — single-packet update throughput (host updates/sec) across
 // the software engines, sweeping information-base occupancy 64 → 1024
-// entries per level.  Linear and simd walk the same first-match-wins
-// store (identical modelled Table 6 cycles); simd's win is purely how
-// fast the host scans it — 16 keys per compare block instead of one.
+// entries per level.  The linear engine and the bench's own scalar
+// first-match loop walk the same first-match-wins store (identical
+// modelled Table 6 cycles); the engine's win is purely how fast the
+// host scans it — 16 keys per compare block instead of one.
 //
 // Part 2 — the flow cache on the 8-node line scenario: the same
-// traffic run with engine=simd cache=off and cache=1024, plus an
-// engine=linear golden run.  Cached, uncached and golden books must be
-// identical (delivery counts, per-router stats, modelled engine
-// cycles, latency percentiles) while the cache serves >= 90% of probes
-// at steady state.
+// traffic run with engine=linear cache=off and cache=1024.  Cached and
+// uncached books must be identical (delivery counts, per-router stats,
+// modelled engine cycles, latency percentiles) while the cache serves
+// >= 90% of probes at steady state.
 //
 // Part 3 — the million-entry FIB sweep: program the trie engine to 1M
 // bindings (600k level-1 host routes + 200k each at levels 2/3; the
@@ -23,18 +23,19 @@
 // measurement, not an assertion.
 //
 // Gates (Release builds only, like bench_fastpath):
-//   * simd >= 2x linear updates/sec at 1024 entries/level.  (The
-//     measured linear scan speed swings almost 2x with final-link code
-//     layout — adding an unrelated library moves it — so the gate
-//     keeps headroom below the ~2.8x honest ratio.)
+//   * linear >= 2x the scalar loop's updates/sec at 1024 entries/level.
+//     (The measured scalar scan speed swings almost 2x with final-link
+//     code layout — adding an unrelated library moves it — so the gate
+//     keeps headroom below the honest ratio.)
 //   * trie <= 64 bytes/entry at the 1M-entry base.
 // Always enforced (determinism, not speed):
-//   * cache=1024 books bit-identical to cache=off and to linear;
+//   * cache=1024 books bit-identical to cache=off;
 //   * steady-state hit rate >= 90%.
 //
 // Results land in BENCH_lookup.json for CI artifacts; `--quick` trims
 // the measurement windows for the smoke job.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -44,10 +45,11 @@
 
 #include "bench_util.hpp"
 #include "core/scenario_runner.hpp"
+#include "hw/cycle_model.hpp"
 #include "sw/cam_engine.hpp"
 #include "sw/hash_engine.hpp"
 #include "sw/linear_engine.hpp"
-#include "sw/simd_engine.hpp"
+#include "sw/semantics.hpp"
 #include "sw/trie_engine.hpp"
 
 using namespace empls;
@@ -59,9 +61,63 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// The bench's own scalar first-match loop: the linear search as an
+/// array of pairs compared one at a time, behind the same update flow
+/// and Table 6 cost model as LinearEngine.  The linear gate is measured
+/// against it.
+class ScalarScanEngine : public sw::LabelEngine {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "scalar"; }
+
+  [[nodiscard]] std::optional<mpls::LabelPair> lookup(unsigned level,
+                                                      rtl::u32 key) override {
+    const auto& l = levels_[level - 1];
+    const rtl::u32 mask =
+        level == 1 ? ~rtl::u32{0} : static_cast<rtl::u32>(mpls::kMaxLabel);
+    for (std::size_t i = 0; i < l.size(); ++i) {
+      if ((l[i].index & mask) == (key & mask)) {
+        examined_ = i + 1;
+        return l[i];
+      }
+    }
+    examined_ = l.size();
+    return std::nullopt;
+  }
+
+  sw::UpdateOutcome update(mpls::Packet& packet, unsigned level,
+                           hw::RouterType router_type) override {
+    const sw::UpdateKey k = sw::update_key(packet, level);
+    const bool was_empty = packet.stack.empty();
+    const auto found = lookup(k.level, k.key);
+    sw::UpdateOutcome out = sw::apply_update(packet, found, router_type);
+    out.hw_cycles = hw::search_cycles(examined_) +
+                    sw::update_tail_cycles(out, was_empty, found.has_value());
+    return out;
+  }
+
+  [[nodiscard]] std::size_t level_size(unsigned level) const override {
+    return levels_[level - 1].size();
+  }
+
+ protected:
+  void do_clear() override {
+    for (auto& l : levels_) {
+      l.clear();
+    }
+  }
+  bool do_write_pair(unsigned level, const mpls::LabelPair& pair) override {
+    levels_[level - 1].push_back(pair);
+    return true;
+  }
+
+ private:
+  std::array<std::vector<mpls::LabelPair>, 3> levels_;
+  rtl::u64 examined_ = 0;
+};
+
 std::unique_ptr<sw::LabelEngine> make_engine(const std::string& kind) {
-  if (kind == "simd") {
-    return std::make_unique<sw::SimdEngine>();
+  if (kind == "scalar") {
+    return std::make_unique<ScalarScanEngine>();
   }
   if (kind == "hash") {
     return std::make_unique<sw::HashEngine>();
@@ -297,25 +353,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("== vectorized lookup + flow cache (X6)%s ==\n",
+  std::printf("== block-compare lookup + flow cache (X6)%s ==\n",
               quick ? " [quick]" : "");
-  std::printf("simd kernel: %s\n\n",
-              std::string(sw::SimdEngine::kernel()).c_str());
+  std::printf("linear kernel: %s\n\n",
+              std::string(sw::LinearEngine::kernel()).c_str());
 
   bench::BenchJson json("lookup");
   json.set("quick", quick);
-  json.set("simd_kernel", std::string(sw::SimdEngine::kernel()));
+  json.set("linear_kernel", std::string(sw::LinearEngine::kernel()));
 
   // Part 1: occupancy sweep.
   const double min_wall = quick ? 0.02 : 0.2;
   const std::vector<std::size_t> occupancies{64, 256, 1024};
-  const std::vector<std::string> engines{"linear", "simd", "hash", "cam",
+  const std::vector<std::string> engines{"scalar", "linear", "hash", "cam",
                                          "trie"};
-  bench::Table sweep({"entries/level", "linear up/s", "simd up/s",
+  bench::Table sweep({"entries/level", "scalar up/s", "linear up/s",
                       "hash up/s", "cam up/s", "trie up/s", "trie B/entry",
-                      "simd vs linear"});
+                      "linear vs scalar"});
+  double scalar_1024 = 0;
   double linear_1024 = 0;
-  double simd_1024 = 0;
   for (const auto occ : occupancies) {
     std::vector<double> rates;
     double trie_bpe = 0;
@@ -335,8 +391,8 @@ int main(int argc, char** argv) {
       }
     }
     if (occ == 1024) {
-      linear_1024 = rates[0];
-      simd_1024 = rates[1];
+      scalar_1024 = rates[0];
+      linear_1024 = rates[1];
     }
     char ratio[32];
     std::snprintf(ratio, sizeof ratio, "%.2fx", rates[1] / rates[0]);
@@ -347,7 +403,7 @@ int main(int argc, char** argv) {
                    ratio});
   }
   sweep.print();
-  json.set("gate.simd_vs_linear_1024", simd_1024 / linear_1024);
+  json.set("gate.linear_vs_scalar_1024", linear_1024 / scalar_1024);
 
   // Part 3: million-entry FIB sweep (quick: 1M; full: 1M + 10M).
   std::printf("\n");
@@ -379,9 +435,8 @@ int main(int argc, char** argv) {
 
   // Part 2: flow cache on the 8-node line.
   const double stop_s = quick ? 0.1 : 0.5;
-  const auto uncached = run_line("simd", "off", stop_s);
-  const auto cached = run_line("simd", "1024", stop_s);
-  const auto golden = run_line("linear", "off", stop_s);
+  const auto uncached = run_line("linear", "off", stop_s);
+  const auto cached = run_line("linear", "1024", stop_s);
 
   const auto& cache_rows = cached.report.routers;
   std::uint64_t hits = 0;
@@ -398,7 +453,7 @@ int main(int argc, char** argv) {
           : static_cast<double>(hits) / static_cast<double>(hits + misses);
 
   std::printf("\n");
-  bench::Table line({"8-node line (simd)", "wall s", "delivered",
+  bench::Table line({"8-node line (linear)", "wall s", "delivered",
                      "engine cycles R1", "cache hit rate"});
   auto row = [&](const char* label, const LineRun& run, bool with_cache) {
     char rate[32] = "-";
@@ -412,7 +467,6 @@ int main(int argc, char** argv) {
   };
   row("cache=off", uncached, false);
   row("cache=1024", cached, true);
-  row("linear golden", golden, false);
   line.print();
 
   json.set("cache.hit_rate", hit_rate);
@@ -428,14 +482,12 @@ int main(int argc, char** argv) {
   bench::Checks checks;
   checks.expect_true("cache=1024 books identical to cache=off",
                      same_books(cached.report, uncached.report));
-  checks.expect_true("simd books identical to linear golden",
-                     same_books(uncached.report, golden.report));
   checks.expect_true("steady-state hit rate >= 90%", hit_rate >= 0.90);
 #ifdef NDEBUG
   char gate[64];
-  std::snprintf(gate, sizeof gate, "simd >= 2x linear at 1024 (%.2fx)",
-                simd_1024 / linear_1024);
-  checks.expect_true(gate, simd_1024 >= 2.0 * linear_1024);
+  std::snprintf(gate, sizeof gate, "linear >= 2x scalar at 1024 (%.2fx)",
+                linear_1024 / scalar_1024);
+  checks.expect_true(gate, linear_1024 >= 2.0 * scalar_1024);
   char mem_gate[64];
   std::snprintf(mem_gate, sizeof mem_gate,
                 "trie <= 64 bytes/entry at 1M (%.1f)", bpe_1m);

@@ -328,7 +328,10 @@ void EmbeddedRouter::receive(net::PacketHandle packet,
           break;
       }
     }
-    engine_queue_.push_back(std::move(work));
+    if (engine_queue_.capacity() == 0) {
+      engine_queue_ = net::FixedRing<Pending>(config_.engine_queue_capacity);
+    }
+    engine_queue_.push(std::move(work));
     stats_.engine_queue_peak =
         std::max(stats_.engine_queue_peak, engine_queue_.size());
     return;
@@ -346,17 +349,14 @@ void EmbeddedRouter::engine_done() {
       std::max<std::size_t>(config_.engine_batch_size, 1);
   const std::size_t take = std::min(batch_limit, engine_queue_.size());
   if (take <= 1) {
-    Pending next = std::move(engine_queue_.front());
-    engine_queue_.pop_front();
-    process(std::move(next));
+    process(engine_queue_.pop());
     return;
   }
   // A backlog formed while the engine was busy: drain it as one batch.
   std::vector<Pending> batch;
   batch.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {
-    batch.push_back(std::move(engine_queue_.front()));
-    engine_queue_.pop_front();
+    batch.push_back(engine_queue_.pop());
   }
   process_batch(std::move(batch));
 }

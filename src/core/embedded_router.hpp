@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <functional>
 #include <memory>
@@ -32,6 +31,7 @@
 #include "net/guard.hpp"
 #include "net/node.hpp"
 #include "net/policer.hpp"
+#include "net/qos.hpp"
 #include "net/stats.hpp"
 #include "rtl/clock_model.hpp"
 #include "sw/engine.hpp"
@@ -227,7 +227,10 @@ class EmbeddedRouter : public net::Node {
   rtl::ClockModel clock_;
   Stats stats_;
   PacketTap tap_;
-  std::deque<Pending> engine_queue_;
+  /// Packets waiting for the busy engine.  Allocated at
+  /// engine_queue_capacity when the first packet queues, so a router
+  /// whose engine never backs up holds no ring.
+  net::FixedRing<Pending> engine_queue_;
   std::vector<CacheEntry> flow_cache_;  // empty = cache off
   net::FlowCacheStats cache_stats_;
   bool engine_busy_ = false;

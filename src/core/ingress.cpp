@@ -1,7 +1,5 @@
 #include "core/ingress.hpp"
 
-#include <vector>
-
 #include "sw/semantics.hpp"
 
 namespace empls::core {
@@ -28,19 +26,25 @@ std::optional<mpls::Packet> IngressProcessor::parse(
 }
 
 bool IngressProcessor::wire_round_trip_ok(const mpls::Packet& packet) {
-  // Per-thread scratch (free-running domains validate on several
-  // threads): once warmed, the round trip allocates nothing.
-  thread_local std::vector<std::uint8_t> bytes;
-  thread_local mpls::Packet reparsed;
-  packet.serialize_into(bytes);
-  if (!mpls::Packet::parse_into(bytes, reparsed)) {
+  // The round trip's verdict, read off the fields.  The addresses, CoS
+  // and TTL travel at their full width and the S bits are the stack's
+  // own invariant, so only four things make the reparsed packet differ
+  // or fail to parse: an l2 code past kFrameRelay (the parser refuses
+  // it), a payload longer than the 16-bit length field, a stack whose
+  // capacity is not the hardware depth the parser rebuilds it at (an
+  // over-deep stack included), and an entry field wider than its
+  // declared width (encode truncates it).
+  if (packet.l2 > mpls::L2Type::kFrameRelay ||
+      packet.payload.size() > 0xFFFF ||
+      packet.stack.capacity() != mpls::LabelStack::kHardwareDepth) {
     return false;
   }
-  return reparsed.l2 == packet.l2 && reparsed.src == packet.src &&
-         reparsed.dst == packet.dst && reparsed.cos == packet.cos &&
-         reparsed.ip_ttl == packet.ip_ttl &&
-         reparsed.stack == packet.stack &&
-         reparsed.payload == packet.payload;
+  for (std::size_t i = 0; i < packet.stack.size(); ++i) {
+    if (!mpls::is_well_formed(packet.stack.at(i))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace empls::core

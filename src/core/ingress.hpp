@@ -38,9 +38,9 @@ class IngressProcessor {
       std::span<const std::uint8_t> bytes);
 
   /// Integrity check used by the router's validation mode: a packet must
-  /// survive a serialize → parse round trip unchanged.  The round trip
-  /// runs on per-thread scratch storage, so once warmed it allocates
-  /// nothing.
+  /// survive a serialize → parse round trip unchanged.  The verdict is
+  /// computed from the field widths, without serialising, so it
+  /// allocates nothing.
   [[nodiscard]] static bool wire_round_trip_ok(const mpls::Packet& packet);
 };
 

@@ -22,7 +22,6 @@
 #include "sw/hw_engine.hpp"
 #include "sw/linear_engine.hpp"
 #include "sw/sharded_engine.hpp"
-#include "sw/simd_engine.hpp"
 #include "sw/trie_engine.hpp"
 
 namespace empls::core {
@@ -35,9 +34,6 @@ std::unique_ptr<sw::LabelEngine> make_engine(const std::string& kind) {
   }
   if (kind == "cam") {
     return std::make_unique<sw::CamEngine>();
-  }
-  if (kind == "simd") {
-    return std::make_unique<sw::SimdEngine>();
   }
   if (kind == "trie") {
     return std::make_unique<sw::TrieEngine>();

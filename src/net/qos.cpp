@@ -9,7 +9,7 @@ namespace empls::net {
 CosQueueSet::CosQueueSet(QosConfig config)
     : config_(config), red_rng_(config.red_seed) {
   for (auto& q : queues_) {
-    q = PacketRing(config_.queue_capacity);
+    q = FixedRing<PacketHandle>(config_.queue_capacity);
   }
   if (config_.scheduler == SchedulerKind::kWeightedRoundRobin) {
     wrr_credit_ = config_.wrr_weights[wrr_cursor_];

@@ -52,33 +52,39 @@ struct QueueStats {
   std::uint64_t dequeued = 0;
 };
 
-/// Fixed-capacity FIFO ring of packet handles.  Capacity is set once;
-/// push/pop never allocate.
-class PacketRing {
+/// Fixed-capacity FIFO ring of move-only elements (packet handles, or
+/// anything that holds one).  Capacity is set once; push/pop never
+/// allocate.  A default-constructed ring has capacity 0 and holds no
+/// storage.
+template <typename T>
+class FixedRing {
  public:
-  PacketRing() = default;
-  explicit PacketRing(std::size_t capacity) : slots_(capacity) {}
+  FixedRing() = default;
+  explicit FixedRing(std::size_t capacity) : slots_(capacity) {}
 
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] bool full() const noexcept {
     return count_ == slots_.size();
   }
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return slots_.size();
+  }
 
-  void push(PacketHandle p) noexcept {
-    slots_[(head_ + count_) % slots_.size()] = std::move(p);
+  void push(T item) noexcept {
+    slots_[(head_ + count_) % slots_.size()] = std::move(item);
     ++count_;
   }
 
-  PacketHandle pop() noexcept {
-    PacketHandle p = std::move(slots_[head_]);
+  T pop() noexcept {
+    T item = std::move(slots_[head_]);
     head_ = (head_ + 1) % slots_.size();
     --count_;
-    return p;
+    return item;
   }
 
  private:
-  std::vector<PacketHandle> slots_;
+  std::vector<T> slots_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
 };
@@ -125,7 +131,7 @@ class CosQueueSet {
   [[nodiscard]] std::optional<unsigned> pick_queue();
 
   QosConfig config_;
-  std::array<PacketRing, 8> queues_;
+  std::array<FixedRing<PacketHandle>, 8> queues_;
   std::array<QueueStats, 8> stats_;
   std::size_t total_ = 0;
   // WRR state.

@@ -10,6 +10,7 @@
 #include <type_traits>
 
 #include "net/domain.hpp"
+#include "net/loadgen.hpp"
 
 namespace empls::net {
 
@@ -149,6 +150,9 @@ constexpr Range kPositive{.lo = 0, .lo_open = true};
 constexpr Range kAtLeastOne{.lo = 1};
 constexpr Range kCos{.lo = 0, .hi = 7};
 constexpr Range kFraction{.lo = 0, .hi = 1};
+/// Scripted flow ids stay below the loadgen, attack and OAM blocks,
+/// which the runner books separately.
+constexpr Range kUserFlowId{.lo = 0, .hi = kLoadGenFlowBase - 1.0};
 
 struct Option;
 
@@ -387,12 +391,13 @@ bool parse_router(ScenarioParser& p) {
   RouterDecl r;
   r.name = p.args[0];
   std::size_t type = 0;
-  // engine: linear|hash|cam|simd|trie|hw or sharded:<N>[:simd|:trie].
+  // engine: linear|hash|cam|trie|hw or sharded:<N>[:trie].
   const auto engine = [&r](ScenarioParser& p, const std::string& v) {
     if (v.rfind("sharded:", 0) == 0) {
       std::string count = v.substr(8);
-      std::string replica = "simd";
-      if (const auto colon = count.find(':'); colon != std::string::npos) {
+      std::string replica;
+      const auto colon = count.find(':');
+      if (colon != std::string::npos) {
         replica = count.substr(colon + 1);
         count.resize(colon);
       }
@@ -400,12 +405,13 @@ bool parse_router(ScenarioParser& p) {
       std::size_t k = 0;
       if (!p.value("sharded engine count (want 1..64)", count, kNumber,
                    {.lo = 1, .hi = 64, .integer = true}, shards) ||
-          !p.pick(replica, "sharded replica", {"simd", "trie"}, k)) {
+          (colon != std::string::npos &&
+           !p.pick(replica, "sharded replica", {"trie"}, k))) {
         return false;
       }
     } else if (std::size_t k = 0;
-               !p.pick(v, "engine",
-                       {"linear", "hash", "cam", "simd", "trie", "hw"}, k)) {
+               !p.pick(v, "engine", {"linear", "hash", "cam", "trie", "hw"},
+                       k)) {
       return false;
     }
     r.engine = v;
@@ -527,7 +533,7 @@ bool parse_flow(ScenarioParser& p) {
   std::size_t kind = 0;
   if (!p.pick(a[0], "flow kind", {"cbr", "poisson", "video", "onoff"},
               kind) ||
-      !p.value("flow id", a[1], kNumber, kNonNegative, f.id) ||
+      !p.value("flow id", a[1], kNumber, kUserFlowId, f.id) ||
       !p.router(a[2], f.ingress) || !p.address(a[3], f.dst) ||
       !p.options(4, {opt("cos", kNumber, f.cos, kCos),
                      opt("size", kNumber, f.size, kNonNegative),

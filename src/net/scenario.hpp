@@ -37,9 +37,8 @@ struct ScenarioError {
 struct RouterDecl {
   std::string name;
   bool is_ler = false;
-  /// linear | hash | cam | simd | trie | hw | sharded:<N> (N parallel
-  /// worker shards over simd replicas; sharded:<N>:trie for trie
-  /// replicas, sharded:<N>:simd spells the default explicitly).
+  /// linear | hash | cam | trie | hw | sharded:<N> (N parallel worker
+  /// shards over linear replicas; sharded:<N>:trie for trie replicas).
   std::string engine = "linear";
   double clock_hz = 50e6;
   /// Engine batch size (`batch=K`); 0 = engine default (16 for sharded

@@ -127,7 +127,7 @@ class LabelEngine {
   /// Whether the embedded router may serve this engine's decisions from
   /// its flow cache.  True for the single-datapath software engines
   /// whose modelled cost decomposes into search + tail (linear, hash,
-  /// cam, simd).  False for the RTL-backed engines — the cycle-accurate
+  /// cam, trie).  False for the RTL-backed engines — the cycle-accurate
   /// model must see every packet — and for the sharded plane, whose
   /// makespan model (slowest shard) would change if cache hits were
   /// carved out of its batches.

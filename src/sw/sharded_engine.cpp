@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "net/mix.hpp"
+#include "sw/linear_engine.hpp"
 #include "sw/semantics.hpp"
-#include "sw/simd_engine.hpp"
 
 namespace empls::sw {
 
@@ -12,7 +12,7 @@ ShardedEngine::ShardedEngine(unsigned shards, ReplicaFactory make_replica) {
   const unsigned n = std::clamp(shards, 1u, kMaxShards);
   name_ = "sharded:" + std::to_string(n);
   if (!make_replica) {
-    make_replica = [] { return std::make_unique<SimdEngine>(); };
+    make_replica = [] { return std::make_unique<LinearEngine>(); };
   }
   shards_.reserve(n);
   last_loads_.resize(n);

@@ -48,10 +48,9 @@ class ShardedEngine : public LabelEngine {
   static constexpr unsigned kMaxShards = 64;
 
   /// `shards` worker threads (clamped to [1, kMaxShards]), each with a
-  /// replica from `make_replica` (default: SimdEngine, the vectorized
-  /// SoA mirror of the golden model — bit-identical outcomes and Table 6
-  /// cycle accounting, but each worker scans its replica with the wide
-  /// comparator bank, so shards get the SoA speedup too).
+  /// replica from `make_replica` (default: LinearEngine, the golden
+  /// model itself — bit-identical outcomes and Table 6 cycle
+  /// accounting).
   explicit ShardedEngine(unsigned shards,
                          ReplicaFactory make_replica = ReplicaFactory{});
   ~ShardedEngine() override;

@@ -2,13 +2,12 @@
 // resolved label-pair bindings, validated by the engine's epoch
 // counter.  The contract under test is absolute transparency — a run
 // with the cache on must produce bit-identical books to the same run
-// with the cache off (and to the LinearEngine golden model), including
-// modelled engine cycles and latency percentiles, while serving the
-// steady-state traffic mostly from the cache.  Epoch invalidation is
-// exercised the hard way: an injected information-base corruption and
-// the subsequent resync reprogram mid-stream, which must flip cached
-// entries stale at exactly the same packet boundaries as the uncached
-// engine changes behaviour.
+// with the cache off, including modelled engine cycles and latency
+// percentiles, while serving the steady-state traffic mostly from the
+// cache.  Epoch invalidation is exercised the hard way: an injected
+// information-base corruption and the subsequent resync reprogram
+// mid-stream, which must flip cached entries stale at exactly the same
+// packet boundaries as the uncached engine changes behaviour.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -24,19 +23,11 @@
 #include "sw/hw_engine.hpp"
 #include "sw/linear_engine.hpp"
 #include "sw/sharded_engine.hpp"
-#include "sw/simd_engine.hpp"
 
 namespace empls::core {
 namespace {
 
 mpls::Prefix pfx(const char* t) { return *mpls::Prefix::parse(t); }
-
-std::unique_ptr<sw::LabelEngine> make_engine(const std::string& kind) {
-  if (kind == "linear") {
-    return std::make_unique<sw::LinearEngine>();
-  }
-  return std::make_unique<sw::SimdEngine>();
-}
 
 /// Everything two runs must agree on to count as "bit-identical".
 struct Books {
@@ -58,12 +49,11 @@ struct RunResult {
   unsigned corrupt_resynced = 0;
 };
 
-/// A line of `n` routers, one CBR flow crossing it end to end; when
-/// `corrupt_at` > 0, the transit router's information base is garbled
-/// at that time and resynced `corrupt_resync` later.
-RunResult run_line(const std::string& kind, std::size_t cache_entries,
-                   int n, double stop_s, double corrupt_at = 0,
-                   double corrupt_resync = 0) {
+/// A line of `n` linear-engine routers, one CBR flow crossing it end to
+/// end; when `corrupt_at` > 0, the transit router's information base is
+/// garbled at that time and resynced `corrupt_resync` later.
+RunResult run_line(std::size_t cache_entries, int n, double stop_s,
+                   double corrupt_at = 0, double corrupt_resync = 0) {
   net::Network net;
   net::ControlPlane cp(net);
   net::FlowStats stats;
@@ -77,7 +67,8 @@ RunResult run_line(const std::string& kind, std::size_t cache_entries,
     cfg.flow_cache_entries = cache_entries;
     std::string name = "R";
     name += std::to_string(i);
-    auto r = std::make_unique<EmbeddedRouter>(name, make_engine(kind), cfg);
+    auto r = std::make_unique<EmbeddedRouter>(
+        name, std::make_unique<sw::LinearEngine>(), cfg);
     routers.push_back(r.get());
     ids.push_back(net.add_node(std::move(r)));
     cp.register_router(ids.back(), &routers.back()->routing());
@@ -135,8 +126,6 @@ RunResult run_line(const std::string& kind, std::size_t cache_entries,
 TEST(FlowCache, ArmsOnlyForCacheableEngines) {
   RouterConfig cfg;
   cfg.flow_cache_entries = 64;
-  EmbeddedRouter simd("s", std::make_unique<sw::SimdEngine>(), cfg);
-  EXPECT_TRUE(simd.flow_cache_enabled());
   EmbeddedRouter linear("l", std::make_unique<sw::LinearEngine>(), cfg);
   EXPECT_TRUE(linear.flow_cache_enabled());
   EmbeddedRouter hw_r("h", std::make_unique<sw::HwEngine>(), cfg);
@@ -147,23 +136,20 @@ TEST(FlowCache, ArmsOnlyForCacheableEngines) {
 
   RouterConfig off;
   off.flow_cache_entries = 0;
-  EmbeddedRouter none("n", std::make_unique<sw::SimdEngine>(), off);
+  EmbeddedRouter none("n", std::make_unique<sw::LinearEngine>(), off);
   EXPECT_FALSE(none.flow_cache_enabled());
 }
 
 // Steady state on the 8-node line: one flow, one (level, key) per
 // router, so after the first packet warms each cache almost every probe
-// hits — while the books stay exactly those of the uncached run and of
-// the LinearEngine golden model.
+// hits — while the books stay exactly those of the uncached run.
 TEST(FlowCache, SteadyStateHitsWithBitIdenticalBooks) {
-  const auto uncached = run_line("simd", 0, 8, 0.3);
-  const auto cached = run_line("simd", 1024, 8, 0.3);
-  const auto golden = run_line("linear", 0, 8, 0.3);
+  const auto uncached = run_line(0, 8, 0.3);
+  const auto cached = run_line(1024, 8, 0.3);
 
   EXPECT_FALSE(uncached.cache_enabled);
   EXPECT_TRUE(cached.cache_enabled);
   EXPECT_EQ(cached.books, uncached.books);
-  EXPECT_EQ(uncached.books, golden.books);
   EXPECT_GT(cached.books.delivered, 250u);
 
   EXPECT_EQ(uncached.cache.hits + uncached.cache.misses, 0u);
@@ -179,8 +165,8 @@ TEST(FlowCache, SteadyStateHitsWithBitIdenticalBooks) {
 // boundaries as the uncached run — identical books — while the cache
 // registers the stale-entry invalidations.
 TEST(FlowCache, EpochInvalidationKeepsCorruptedRunIdentical) {
-  const auto uncached = run_line("simd", 0, 3, 0.5, 0.1, 0.05);
-  const auto cached = run_line("simd", 1024, 3, 0.5, 0.1, 0.05);
+  const auto uncached = run_line(0, 3, 0.5, 0.1, 0.05);
+  const auto cached = run_line(1024, 3, 0.5, 0.1, 0.05);
 
   EXPECT_EQ(cached.books, uncached.books);
   // The corruption actually bit: deliveries were lost, then recovered.
@@ -203,7 +189,7 @@ TEST(FlowCache, RewritingTheSameBindingStillInvalidates) {
   cfg.type = hw::RouterType::kLer;
   cfg.flow_cache_entries = 64;
   auto owned = std::make_unique<EmbeddedRouter>(
-      "A", std::make_unique<sw::SimdEngine>(), cfg);
+      "A", std::make_unique<sw::LinearEngine>(), cfg);
   auto* router = owned.get();
   const auto a = net.add_node(std::move(owned));
   RouterConfig cfg_b;

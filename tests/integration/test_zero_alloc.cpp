@@ -11,6 +11,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/embedded_router.hpp"
@@ -83,7 +84,12 @@ TEST(ZeroAlloc, CounterSeesAllocations) {
   EXPECT_EQ(n, 2u) << "the vector object and its buffer";
 }
 
-TEST(ZeroAlloc, WarmedLineForwardsWithoutAllocating) {
+/// Builds the 8-router line on library defaults, starts four CBR flows
+/// `phase_step` apart, warms it for 0.2 s and runs 0.2 s more; returns
+/// the packets delivered and the heap allocations made in that second
+/// interval.
+std::pair<std::uint64_t, std::uint64_t> forward_on_warmed_line(
+    double phase_step) {
   constexpr int kRouters = 8;
   net::Network net;
   net::ControlPlane cp(net);
@@ -103,29 +109,61 @@ TEST(ZeroAlloc, WarmedLineForwardsWithoutAllocating) {
   for (int i = 0; i + 1 < kRouters; ++i) {
     net.connect(path[i], path[i + 1], 1e9, 100e-6);
   }
-  ASSERT_TRUE(cp.establish_lsp(path, *mpls::Prefix::parse("10.1.0.0/16")));
+  EXPECT_TRUE(cp.establish_lsp(path, *mpls::Prefix::parse("10.1.0.0/16")));
 
-  // Four CBR flows, 25 us apart in phase so they take turns at the
-  // ingress engine.  (Packets that wait for a busy engine queue in a
-  // std::deque, which allocates a block per few packets queued.)
   std::vector<std::unique_ptr<net::CbrSource>> sources;
   for (std::uint32_t flow = 1; flow <= 4; ++flow) {
     const net::FlowSpec spec{flow, path.front(), {},
                              *mpls::Ipv4Address::parse("10.1.0.9"),
                              static_cast<std::uint8_t>(flow), 256,
-                             25e-6 * (flow - 1), 1.0};
+                             phase_step * (flow - 1), 1.0};
     sources.push_back(
         std::make_unique<net::CbrSource>(net, spec, nullptr, 100e-6));
     sources.back()->start();
   }
 
-  net.run_until(0.2);  // warm-up: pool, slab, scratch buffers fill
+  net.run_until(0.2);  // warm-up: pool, slab, engine queue ring fill
   const std::uint64_t delivered0 = net.delivered_count();
   const std::uint64_t n = allocations_during([&] { net.run_until(0.4); });
-  const std::uint64_t delivered = net.delivered_count() - delivered0;
+  return {net.delivered_count() - delivered0, n};
+}
+
+TEST(ZeroAlloc, WarmedLineForwardsWithoutAllocating) {
+  // Flows 25 us apart in phase take turns at the ingress engine.
+  const auto [delivered, n] = forward_on_warmed_line(25e-6);
   EXPECT_GE(delivered, 7000u);
   EXPECT_EQ(n, 0u) << "heap allocations over " << delivered
                    << " forwarded packets";
+}
+
+TEST(ZeroAlloc, EngineBacklogQueuesWithoutAllocating) {
+  // Flows in phase reach the ingress engine together, so three packets
+  // of every four wait in its queue: a ring allocated at its capacity
+  // when the first packet waits.
+  const auto [delivered, n] = forward_on_warmed_line(0.0);
+  EXPECT_GE(delivered, 7000u);
+  EXPECT_EQ(n, 0u) << "heap allocations over " << delivered
+                   << " forwarded packets, most of them queued";
+}
+
+TEST(ZeroAlloc, LinearEngineWritesWithinItsReservedLanes) {
+  // Construction sizes the pairs and the padded key lanes at capacity:
+  // filling a level, clearing it and refilling it allocate nothing.
+  sw::LinearEngine engine(100);
+  int accepted = 0;
+  const std::uint64_t n = allocations_during([&] {
+    for (int round = 0; round < 2; ++round) {
+      for (std::uint32_t i = 0; i <= 100; ++i) {  // the 101st is refused
+        accepted += engine.write_pair(2, mpls::LabelPair{16 + i, 100 + i,
+                                                         mpls::LabelOp::kSwap})
+                        ? 1
+                        : 0;
+      }
+      engine.clear();
+    }
+  });
+  EXPECT_EQ(accepted, 200);
+  EXPECT_EQ(n, 0u);
 }
 
 }  // namespace

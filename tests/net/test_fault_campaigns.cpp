@@ -21,7 +21,6 @@
 #include "sw/hash_engine.hpp"
 #include "sw/linear_engine.hpp"
 #include "sw/sharded_engine.hpp"
-#include "sw/simd_engine.hpp"
 
 namespace empls::net {
 namespace {
@@ -65,8 +64,6 @@ struct Rig {
       engine = std::make_unique<sw::HashEngine>();
     } else if (kind == "cam") {
       engine = std::make_unique<sw::CamEngine>();
-    } else if (kind == "simd") {
-      engine = std::make_unique<sw::SimdEngine>();
     } else {
       engine = std::make_unique<sw::LinearEngine>();
     }
@@ -174,12 +171,12 @@ TEST_P(FaultCampaign, SixtyFaultCampaignConservesEveryFlow) {
 }
 
 // Corruption faults must bite on EVERY software engine: corrupt_entry
-// has engine-specific implementations (scan for linear, map mutation
-// for hash, inner-delegate for cam, SoA lane poke for simd), and a
-// silent no-op would make the resilience results for that engine
-// vacuously clean.  Each engine must (a) actually garble the binding,
-// (b) misroute or drop because of it, and (c) be healed by the resync
-// audit, after which the flow recovers.
+// has engine-specific implementations (key-lane scan for linear, map
+// mutation for hash, inner-delegate for cam), and a silent no-op would
+// make the resilience results for that engine vacuously clean.  Each
+// engine must (a) actually garble the binding, (b) misroute or drop
+// because of it, and (c) be healed by the resync audit, after which the
+// flow recovers.
 class CorruptionByEngine : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CorruptionByEngine, CorruptionBitesAndResyncHeals) {
@@ -222,7 +219,7 @@ TEST_P(CorruptionByEngine, CorruptionBitesAndResyncHeals) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, CorruptionByEngine,
-                         ::testing::Values("linear", "hash", "cam", "simd"),
+                         ::testing::Values("linear", "hash", "cam"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });

@@ -1,12 +1,14 @@
 // Cross-engine differential fuzz: every software lookup engine must
-// agree with the LinearEngine golden model on arbitrary random programs
-// and packet streams — same discard decisions, same applied operations,
+// agree with the golden linear scan on arbitrary random programs and
+// packet streams — same discard decisions, same applied operations,
 // same TTLs, same resulting stacks — with the information base mutated
 // mid-stream (write_pair, corrupt_entry, clear + reprogram) between
-// packet bursts.  Engines that mirror the hardware's linear-search cost
-// model (simd, and the sharded plane whose replicas run it) must also
-// charge bit-identical Table 6 cycles; hash and CAM intentionally cost
-// differently, so only their semantics are compared.
+// packet bursts.  The golden model is the test-owned array-of-structures
+// scan (aos_oracle.hpp), so LinearEngine's key-lane scan is one of the
+// engines under test.  Engines that mirror the hardware's linear-search
+// cost model (linear, trie, and the sharded plane whose replicas run
+// them) must also charge bit-identical Table 6 cycles; hash and CAM
+// intentionally cost differently, so only their semantics are compared.
 //
 // The sharded parameterization runs the batches through real worker
 // threads, which is why the TSan CI job includes this suite.
@@ -18,12 +20,12 @@
 #include <tuple>
 #include <vector>
 
+#include "../sw/aos_oracle.hpp"
 #include "sw/cam_engine.hpp"
 #include "sw/hash_engine.hpp"
 #include "sw/linear_engine.hpp"
 #include "sw/semantics.hpp"
 #include "sw/sharded_engine.hpp"
-#include "sw/simd_engine.hpp"
 #include "sw/trie_engine.hpp"
 
 namespace empls {
@@ -34,8 +36,8 @@ using mpls::LabelOp;
 using mpls::LabelPair;
 
 std::unique_ptr<sw::LabelEngine> make_engine(const std::string& kind) {
-  if (kind == "simd") {
-    return std::make_unique<sw::SimdEngine>();
+  if (kind == "linear") {
+    return std::make_unique<sw::LinearEngine>();
   }
   if (kind == "hash") {
     return std::make_unique<sw::HashEngine>();
@@ -61,7 +63,7 @@ std::unique_ptr<sw::LabelEngine> make_engine(const std::string& kind) {
 /// The trie engine qualifies: below the paper's 1024-pair boundary its
 /// cost model charges the exact linear-equivalent position.
 bool cycles_comparable(const std::string& kind) {
-  return kind == "simd" || kind == "sharded2" || kind == "trie" ||
+  return kind == "linear" || kind == "sharded2" || kind == "trie" ||
          kind == "sharded2trie";
 }
 
@@ -100,7 +102,7 @@ TEST_P(EngineDifferential, StreamsAgreeWithGoldenUnderMidStreamMutation) {
   std::mt19937 rng(seed());
   auto engine = make_engine(kind());
   ASSERT_NE(engine, nullptr);
-  sw::LinearEngine golden;
+  sw::oracle::AosLinearEngine golden;
   const bool cycles = cycles_comparable(kind());
 
   auto program = [&](int pairs) {
@@ -170,7 +172,7 @@ TEST_P(EngineDifferential, BatchesAgreeWithGoldenSequential) {
   std::mt19937 rng(seed() * 31 + 7);
   auto engine = make_engine(kind());
   ASSERT_NE(engine, nullptr);
-  sw::LinearEngine golden;
+  sw::oracle::AosLinearEngine golden;
   const bool cycles = cycles_comparable(kind());
 
   for (int i = 0; i < 30; ++i) {
@@ -219,7 +221,7 @@ TEST_P(EngineDifferential, BatchesAgreeWithGoldenSequential) {
 INSTANTIATE_TEST_SUITE_P(
     SeedsByEngine, EngineDifferential,
     ::testing::Combine(::testing::Values(1u, 42u, 31415u),
-                       ::testing::Values(std::string("simd"),
+                       ::testing::Values(std::string("linear"),
                                          std::string("hash"),
                                          std::string("cam"),
                                          std::string("trie"),

@@ -10,7 +10,6 @@
 #include "sw/hash_engine.hpp"
 #include "sw/hw_engine.hpp"
 #include "sw/linear_engine.hpp"
-#include "sw/simd_engine.hpp"
 #include "sw/trie_engine.hpp"
 
 namespace empls::sw {
@@ -20,7 +19,9 @@ using mpls::LabelEntry;
 using mpls::LabelOp;
 using mpls::LabelPair;
 
-enum class Kind { kLinear, kHash, kCam, kSimd, kTrie, kHwRtl };
+// The values are what the parameterized rows print; 3 belonged to an
+// engine the linear engine replaced.
+enum class Kind { kLinear, kHash, kCam, kTrie = 4, kHwRtl };
 
 std::unique_ptr<LabelEngine> make(Kind kind, std::size_t capacity = 1024) {
   switch (kind) {
@@ -30,8 +31,6 @@ std::unique_ptr<LabelEngine> make(Kind kind, std::size_t capacity = 1024) {
       return std::make_unique<HashEngine>(capacity);
     case Kind::kCam:
       return std::make_unique<CamEngine>(capacity);
-    case Kind::kSimd:
-      return std::make_unique<SimdEngine>(capacity);
     case Kind::kTrie:
       return std::make_unique<TrieEngine>(capacity);
     case Kind::kHwRtl:
@@ -48,8 +47,6 @@ const char* kind_name(Kind k) {
       return "Hash";
     case Kind::kCam:
       return "Cam";
-    case Kind::kSimd:
-      return "Simd";
     case Kind::kTrie:
       return "Trie";
     case Kind::kHwRtl:
@@ -126,8 +123,8 @@ TEST_P(EveryEngine, ClearForgetsEverything) {
 
 INSTANTIATE_TEST_SUITE_P(Engines, EveryEngine,
                          ::testing::Values(Kind::kLinear, Kind::kHash,
-                                           Kind::kCam, Kind::kSimd,
-                                           Kind::kTrie, Kind::kHwRtl),
+                                           Kind::kCam, Kind::kTrie,
+                                           Kind::kHwRtl),
                          [](const auto& info) {
                            return kind_name(info.param);
                          });
