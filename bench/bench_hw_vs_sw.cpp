@@ -4,8 +4,8 @@
 //
 //   * the modelled 50 MHz hardware (linear engine reporting Table 6
 //     cycle costs, converted to time),
-//   * the software baselines measured by wall clock on this host
-//     (linear scan and hash map), and
+//   * the software engines measured by wall clock on this host (the
+//     linear scan and the trie's O(1) label tables), and
 //   * the cycle-accurate RTL simulation itself (simulator speed, not
 //     router speed — reported for completeness).
 //
@@ -16,9 +16,9 @@
 
 #include "hw/cycle_model.hpp"
 #include "rtl/clock_model.hpp"
-#include "sw/hash_engine.hpp"
 #include "sw/hw_engine.hpp"
 #include "sw/linear_engine.hpp"
+#include "sw/trie_engine.hpp"
 
 using namespace empls;
 
@@ -78,8 +78,8 @@ void update_loop(benchmark::State& state) {
 void BM_SwLinearUpdate(benchmark::State& state) {
   update_loop<sw::LinearEngine>(state);
 }
-void BM_SwHashUpdate(benchmark::State& state) {
-  update_loop<sw::HashEngine>(state);
+void BM_SwTrieUpdate(benchmark::State& state) {
+  update_loop<sw::TrieEngine>(state);
 }
 void BM_HwRtlSimulation(benchmark::State& state) {
   update_loop<sw::HwEngine>(state);
@@ -88,7 +88,7 @@ void BM_HwRtlSimulation(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_SwLinearUpdate)->Arg(16)->Arg(128)->Arg(1024);
-BENCHMARK(BM_SwHashUpdate)->Arg(16)->Arg(128)->Arg(1024);
+BENCHMARK(BM_SwTrieUpdate)->Arg(16)->Arg(128)->Arg(1024);
 BENCHMARK(BM_HwRtlSimulation)->Arg(16)->Arg(128)->Arg(1024);
 
 int main(int argc, char** argv) {

@@ -47,7 +47,6 @@
 #include "core/scenario_runner.hpp"
 #include "hw/cycle_model.hpp"
 #include "sw/cam_engine.hpp"
-#include "sw/hash_engine.hpp"
 #include "sw/linear_engine.hpp"
 #include "sw/semantics.hpp"
 #include "sw/trie_engine.hpp"
@@ -118,9 +117,6 @@ class ScalarScanEngine : public sw::LabelEngine {
 std::unique_ptr<sw::LabelEngine> make_engine(const std::string& kind) {
   if (kind == "scalar") {
     return std::make_unique<ScalarScanEngine>();
-  }
-  if (kind == "hash") {
-    return std::make_unique<sw::HashEngine>();
   }
   if (kind == "cam") {
     return std::make_unique<sw::CamEngine>();
@@ -365,10 +361,9 @@ int main(int argc, char** argv) {
   // Part 1: occupancy sweep.
   const double min_wall = quick ? 0.02 : 0.2;
   const std::vector<std::size_t> occupancies{64, 256, 1024};
-  const std::vector<std::string> engines{"scalar", "linear", "hash", "cam",
-                                         "trie"};
+  const std::vector<std::string> engines{"scalar", "linear", "cam", "trie"};
   bench::Table sweep({"entries/level", "scalar up/s", "linear up/s",
-                      "hash up/s", "cam up/s", "trie up/s", "trie B/entry",
+                      "cam up/s", "trie up/s", "trie B/entry",
                       "linear vs scalar"});
   double scalar_1024 = 0;
   double linear_1024 = 0;
@@ -399,8 +394,7 @@ int main(int argc, char** argv) {
     char bpe[32];
     std::snprintf(bpe, sizeof bpe, "%.1f", trie_bpe);
     sweep.add_row({std::to_string(occ), human(rates[0]), human(rates[1]),
-                   human(rates[2]), human(rates[3]), human(rates[4]), bpe,
-                   ratio});
+                   human(rates[2]), human(rates[3]), bpe, ratio});
   }
   sweep.print();
   json.set("gate.linear_vs_scalar_1024", linear_1024 / scalar_1024);

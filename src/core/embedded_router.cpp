@@ -19,6 +19,21 @@ namespace empls::core {
 
 namespace {
 
+/// The drop book's reason for an engine's discard verdict.
+obs::DropReason drop_reason(sw::DiscardReason r) noexcept {
+  switch (r) {
+    case sw::DiscardReason::kMiss:
+      return obs::DropReason::kInfoBaseMiss;
+    case sw::DiscardReason::kTtlExpired:
+      return obs::DropReason::kTtlExpired;
+    case sw::DiscardReason::kInconsistent:
+      return obs::DropReason::kInconsistent;
+    case sw::DiscardReason::kNone:
+      break;
+  }
+  return obs::DropReason::kOther;
+}
+
 /// Engine-search span for the domain profiler: adds the host-clock
 /// nanoseconds between construction and destruction to the executing
 /// thread's armed accumulator (net::detail::search_accumulator()).
@@ -228,7 +243,7 @@ void EmbeddedRouter::receive(net::PacketHandle packet,
   if (config_.validate_wire &&
       !IngressProcessor::wire_round_trip_ok(*packet)) {
     ++stats_.malformed;
-    network()->notify_discard(id(), *packet, "malformed");
+    network()->notify_discard(id(), *packet, obs::DropReason::kMalformed);
     return;
   }
   const auto cls = IngressProcessor::classify(*packet);
@@ -266,7 +281,7 @@ void EmbeddedRouter::receive(net::PacketHandle packet,
             guard_->screen(cls.labeled, cls.key, will_expire, external,
                            binding_known, network()->now())) {
       ++stats_.guard_drops;
-      network()->notify_discard(id(), *packet, obs::to_string(*refusal));
+      network()->notify_discard(id(), *packet, *refusal);
       return;
     }
   }
@@ -281,7 +296,7 @@ void EmbeddedRouter::receive(net::PacketHandle packet,
                                          network()->now())) {
       if (policer->second.first.action == net::PolicerAction::kDrop) {
         ++stats_.policer_drops;
-        network()->notify_discard(id(), *packet, "policer");
+        network()->notify_discard(id(), *packet, obs::DropReason::kPolicer);
         return;
       }
       ++stats_.policer_demotions;
@@ -298,7 +313,8 @@ void EmbeddedRouter::receive(net::PacketHandle packet,
   if (engine_busy_) {
     if (engine_queue_.size() >= config_.engine_queue_capacity) {
       ++stats_.engine_overruns;
-      network()->notify_discard(id(), *work.packet, "engine-overrun");
+      network()->notify_discard(id(), *work.packet,
+                                obs::DropReason::kEngineOverrun);
       return;
     }
     // Graceful degradation: between the guard's occupancy bands and the
@@ -314,7 +330,8 @@ void EmbeddedRouter::receive(net::PacketHandle packet,
         case net::IngressGuard::LoadAction::kShed:
           guard_->count_shed();
           ++stats_.guard_drops;
-          network()->notify_discard(id(), *work.packet, "overload-shed");
+          network()->notify_discard(id(), *work.packet,
+                                    obs::DropReason::kOverloadShed);
           return;
         case net::IngressGuard::LoadAction::kDemote:
           // Labeled transit keeps its marking (the shim's CoS is not
@@ -396,12 +413,11 @@ void EmbeddedRouter::process(Pending work) {
   // exhaustion attack spraying fresh destinations reprograms the
   // information base (and invalidates every cached epoch) only at the
   // configured rate; refused packets are stamped with their own reason.
-  std::string_view reason_override;
+  std::optional<obs::DropReason> reason_override;
   if (outcome.discarded && outcome.reason == sw::DiscardReason::kMiss &&
       !cls.labeled && config_.type == hw::RouterType::kLer) {
     if (guard_ && !guard_->admit_reprogram(net->now())) {
-      reason_override =
-          obs::to_string(obs::DropReason::kReprogramRateLimited);
+      reason_override = obs::DropReason::kReprogramRateLimited;
     } else if (routing_.slow_path_install(cls.key)) {
       ++stats_.slow_path_retries;
       {
@@ -606,8 +622,8 @@ void EmbeddedRouter::process_batch(std::vector<Pending> work) {
            tap_ ? befores[i] : mpls::Packet(), outcomes[i], latency,
            /*fuse_engine_done=*/false,  // one engine_done serves the batch
            !reprogram_refused.empty() && reprogram_refused[i] != 0
-               ? obs::to_string(obs::DropReason::kReprogramRateLimited)
-               : std::string_view{});
+               ? std::optional(obs::DropReason::kReprogramRateLimited)
+               : std::nullopt);
   }
 }
 
@@ -616,7 +632,8 @@ bool EmbeddedRouter::launch(Pending work,
                             const mpls::Packet& before,
                             const sw::UpdateOutcome& outcome,
                             double latency, bool fuse_engine_done,
-                            std::string_view discard_reason_override) {
+                            std::optional<obs::DropReason>
+                                discard_reason_override) {
   net::Network* net = network();
   net::PacketHandle packet = std::move(work.packet);
 
@@ -626,9 +643,8 @@ bool EmbeddedRouter::launch(Pending work,
   if (outcome.discarded) {
     ++stats_.discarded;
     net->notify_discard(id(), *packet,
-                        discard_reason_override.empty()
-                            ? sw::to_string(outcome.reason)
-                            : discard_reason_override);
+                        discard_reason_override.value_or(
+                            drop_reason(outcome.reason)));
     return false;
   }
   count_op(outcome.applied);
@@ -637,7 +653,7 @@ bool EmbeddedRouter::launch(Pending work,
   const auto port = routing_.out_port(cls.level, cls.key);
   if (!port) {
     ++stats_.discarded;  // control plane never told us where this goes
-    net->notify_discard(id(), *packet, "no-next-hop");
+    net->notify_discard(id(), *packet, obs::DropReason::kNoRoute);
     return false;
   }
 

@@ -33,6 +33,7 @@
 #include "net/policer.hpp"
 #include "net/qos.hpp"
 #include "net/stats.hpp"
+#include "obs/drop_reason.hpp"
 #include "rtl/clock_model.hpp"
 #include "sw/engine.hpp"
 
@@ -75,7 +76,7 @@ struct RouterConfig {
   /// outcomes are always bit-identical to the uncached path — including
   /// the modelled Table 6 cycles, recomposed from the cached search
   /// cost.  0 = off.  Ignored (with a stat-visible fallback to off) for
-  /// engines that must see every packet (hw, pipeline, sharded).
+  /// engines that must see every packet (hw, sharded).
   std::size_t flow_cache_entries = 0;
   /// Ingress guard (overload survival): reserved/spoofed-label
   /// screening, TTL-expiry and reprogram rate limits, and graceful
@@ -185,13 +186,13 @@ class EmbeddedRouter : public net::Node {
   /// engine-idle transition rides inside it (one event, not two);
   /// returns whether it did, so process() can fall back to a separate
   /// event on the discard paths.
-  /// `discard_reason_override`, when non-empty, replaces the engine's
-  /// discard reason string (the guard's reprogram-admission refusal
-  /// re-stamps a lookup miss as kReprogramRateLimited).
+  /// `discard_reason_override`, when set, replaces the engine's discard
+  /// reason (the guard's reprogram-admission refusal re-stamps a lookup
+  /// miss as kReprogramRateLimited).
   bool launch(Pending work, const IngressProcessor::Classification& cls,
               const mpls::Packet& before, const sw::UpdateOutcome& outcome,
               double latency, bool fuse_engine_done,
-              std::string_view discard_reason_override = {});
+              std::optional<obs::DropReason> discard_reason_override = {});
   /// Start the next queued packet or batch, if any (engine went idle).
   void engine_done();
 

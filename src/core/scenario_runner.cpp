@@ -18,7 +18,6 @@
 #include "obs/trace.hpp"
 
 #include "sw/cam_engine.hpp"
-#include "sw/hash_engine.hpp"
 #include "sw/hw_engine.hpp"
 #include "sw/linear_engine.hpp"
 #include "sw/sharded_engine.hpp"
@@ -28,31 +27,43 @@ namespace empls::core {
 
 namespace {
 
-std::unique_ptr<sw::LabelEngine> make_engine(const std::string& kind) {
-  if (kind == "hash") {
-    return std::make_unique<sw::HashEngine>();
+using EngineKind = net::EngineDecl::Kind;
+
+std::unique_ptr<sw::LabelEngine> make_engine(const net::EngineDecl& e) {
+  switch (e.kind) {
+    case EngineKind::kLinear:
+      return std::make_unique<sw::LinearEngine>();
+    case EngineKind::kCam:
+      return std::make_unique<sw::CamEngine>();
+    case EngineKind::kTrie:
+      return std::make_unique<sw::TrieEngine>();
+    case EngineKind::kHw:
+      return std::make_unique<sw::HwEngine>();
+    case EngineKind::kSharded:
+      if (e.trie_replicas) {
+        return std::make_unique<sw::ShardedEngine>(e.shards, [] {
+          return std::make_unique<sw::TrieEngine>();
+        });
+      }
+      return std::make_unique<sw::ShardedEngine>(e.shards);
   }
-  if (kind == "cam") {
-    return std::make_unique<sw::CamEngine>();
+  return nullptr;
+}
+
+/// Engine batch size when the router line sets none: a sharded engine
+/// batches (its parallelism is wasted on per-packet service), every
+/// other engine serves one packet at a time.
+std::size_t default_batch(EngineKind kind) {
+  switch (kind) {
+    case EngineKind::kSharded:
+      return 16;
+    case EngineKind::kLinear:
+    case EngineKind::kCam:
+    case EngineKind::kTrie:
+    case EngineKind::kHw:
+      break;
   }
-  if (kind == "trie") {
-    return std::make_unique<sw::TrieEngine>();
-  }
-  if (kind == "hw") {
-    return std::make_unique<sw::HwEngine>();
-  }
-  if (kind.rfind("sharded:", 0) == 0) {
-    // The parser validated the count; std::stoul on the suffix is safe
-    // and stops at the optional replica-kind colon (sharded:<N>:trie).
-    const auto shards = static_cast<unsigned>(std::stoul(kind.substr(8)));
-    if (kind.find(":trie", 8) != std::string::npos) {
-      return std::make_unique<sw::ShardedEngine>(shards, [] {
-        return std::make_unique<sw::TrieEngine>();
-      });
-    }
-    return std::make_unique<sw::ShardedEngine>(shards);
-  }
-  return std::make_unique<sw::LinearEngine>();
+  return 1;
 }
 
 /// A failure tied to no directive (an output file that cannot be
@@ -163,10 +174,9 @@ std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
     cfg.clock_hz = decl.clock_hz;
     cfg.label_base = label_base;
     label_base += 1000;
-    // Batch size: explicit `batch=K` wins; a sharded engine defaults to
-    // batching (its parallelism is wasted on per-packet service).
-    const bool sharded = decl.engine.rfind("sharded:", 0) == 0;
-    cfg.engine_batch_size = decl.batch > 0 ? decl.batch : (sharded ? 16 : 1);
+    // Batch size: explicit `batch=K` wins over the engine's default.
+    cfg.engine_batch_size =
+        decl.batch > 0 ? decl.batch : default_batch(decl.engine.kind);
     cfg.flow_cache_entries = decl.cache;
     auto router = std::make_unique<EmbeddedRouter>(
         decl.name, make_engine(decl.engine), cfg);

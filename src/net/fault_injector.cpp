@@ -187,34 +187,20 @@ std::string FaultInjector::summary() const {
 
 DropAccountant::DropAccountant(Network& net) {
   net.add_discard_handler(
-      [this](NodeId, const mpls::Packet& p, std::string_view reason) {
-        account(p.flow_id, reason);
+      [this](NodeId, const mpls::Packet& p, obs::DropReason) {
+        account(p.flow_id);
       });
   net.add_link_drop_handler(
-      [this](const mpls::Packet& p, std::string_view reason) {
-        account(p.flow_id, reason);
-      });
+      [this](const mpls::Packet& p, obs::DropReason) { account(p.flow_id); });
 }
 
-void DropAccountant::account(std::uint32_t flow_id, std::string_view reason) {
+void DropAccountant::account(std::uint32_t flow_id) {
   ++by_flow_[flow_id];
-  ++reasons_[static_cast<std::size_t>(obs::drop_reason_from_string(reason))];
   ++total_;
 }
 
 std::uint64_t DropAccountant::drops(std::uint32_t flow_id) const {
   return by_flow_.get(flow_id);
-}
-
-std::map<std::string, std::uint64_t> DropAccountant::by_reason() const {
-  std::map<std::string, std::uint64_t> out;
-  for (std::size_t i = 0; i < obs::kDropReasonCount; ++i) {
-    if (reasons_[i] > 0) {
-      out.emplace(obs::to_string(static_cast<obs::DropReason>(i)),
-                  reasons_[i]);
-    }
-  }
-  return out;
 }
 
 std::uint64_t DropAccountant::drops_in_range(std::uint32_t lo,

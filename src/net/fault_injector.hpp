@@ -10,13 +10,12 @@
 //
 // DropAccountant closes the books: subscribing to both the router
 // discard handlers and the link drop hooks, it attributes every lost
-// packet to a flow and a reason, so a campaign can assert flow
-// conservation — sent = delivered + accounted drops — for every flow
-// that survives the run.
+// packet to its flow, so a campaign can assert flow conservation —
+// sent = delivered + accounted drops — for every flow that survives
+// the run.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -116,18 +115,9 @@ class DropAccountant {
   DropAccountant& operator=(const DropAccountant&) = delete;
 
   [[nodiscard]] std::uint64_t drops(std::uint32_t flow_id) const;
+  /// Every drop accounted; Network::drop_totals() books the same drops
+  /// per reason.
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  /// Per-reason totals indexed by obs::DropReason (the accounting path
-  /// maps the reason string to its enum once per drop — no string
-  /// allocation, no map).
-  [[nodiscard]] const obs::DropCounts& reason_counts() const noexcept {
-    return reasons_;
-  }
-  [[nodiscard]] std::uint64_t drops_for(obs::DropReason r) const noexcept {
-    return reasons_[static_cast<std::size_t>(r)];
-  }
-  /// Legacy string-keyed view, built on demand (reporting only).
-  [[nodiscard]] std::map<std::string, std::uint64_t> by_reason() const;
 
   /// Aggregate drops over a half-open flow-id range (used to close the
   /// books on an open-loop generator's id block without walking a map).
@@ -143,10 +133,9 @@ class DropAccountant {
   [[nodiscard]] bool conserved(const FlowStats& stats) const;
 
  private:
-  void account(std::uint32_t flow_id, std::string_view reason);
+  void account(std::uint32_t flow_id);
 
   FlatCounts by_flow_;
-  obs::DropCounts reasons_{};
   std::uint64_t total_ = 0;
 };
 

@@ -41,7 +41,7 @@ void Link::transmit(PacketHandle packet) {
   if (!up_) {
     ++stats_.failed_drops;
     if (drop_hook_) {
-      drop_hook_(*packet, "link-down");
+      drop_hook_(*packet, obs::DropReason::kLinkDown);
     }
     trace_drop(tracer_, link_id_, packet.get(), events_->now(),
                obs::DropReason::kLinkDown);
@@ -54,7 +54,7 @@ void Link::transmit(PacketHandle packet) {
   if (!drain_pending_ && queue_.empty() && events_->now() >= busy_until_) {
     if (!queue_.admit_cut_through(*packet)) {
       if (drop_hook_) {
-        drop_hook_(*packet, "queue-full");
+        drop_hook_(*packet, obs::DropReason::kQueueOverflow);
       }
       trace_drop(tracer_, link_id_, packet.get(), events_->now(),
                  obs::DropReason::kQueueOverflow);
@@ -70,7 +70,7 @@ void Link::transmit(PacketHandle packet) {
   // reads the original packet — no defensive copy.
   if (!queue_.enqueue(std::move(packet))) {
     if (drop_hook_) {
-      drop_hook_(*packet, "queue-full");
+      drop_hook_(*packet, obs::DropReason::kQueueOverflow);
     }
     trace_drop(tracer_, link_id_, packet.get(), events_->now(),
                obs::DropReason::kQueueOverflow);

@@ -8,13 +8,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
 
 #include "mpls/packet.hpp"
 #include "mpls/tables.hpp"
 #include "net/event_queue.hpp"
 #include "net/packet_pool.hpp"
 #include "net/qos.hpp"
+#include "obs/drop_reason.hpp"
 
 namespace empls::obs {
 class Histogram;
@@ -61,7 +61,7 @@ class Link {
   /// Observation hook for packets this link drops (offered while down,
   /// or refused by a full queue).  Conservation audits subscribe via
   /// Network::add_link_drop_handler; unset, drops cost nothing extra.
-  using DropHook = std::function<void(const mpls::Packet&, std::string_view)>;
+  using DropHook = std::function<void(const mpls::Packet&, obs::DropReason)>;
   void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
 
   /// Partitioned execution support (net/domain.hpp).  A link belongs to

@@ -219,7 +219,7 @@ Network::PortPair Network::connect(NodeId a, NodeId b, double bandwidth_bps,
     // Drop audits already subscribed: new links need the hook too.
     for (auto it = links_.end() - 2; it != links_.end(); ++it) {
       (*it)->set_drop_hook([this](const mpls::Packet& p,
-                                  std::string_view r) {
+                                  obs::DropReason r) {
         const auto lock = books_lock();
         for (const auto& h : link_drops_) {
           h(p, r);
@@ -278,7 +278,7 @@ void Network::add_link_drop_handler(LinkDropHandler handler) {
   // One forwarding hook per link fans out to every registered handler;
   // installing it lazily keeps the no-audit hot path copy-free.
   for (const auto& link : links_) {
-    link->set_drop_hook([this](const mpls::Packet& p, std::string_view r) {
+    link->set_drop_hook([this](const mpls::Packet& p, obs::DropReason r) {
       const auto lock = books_lock();
       for (const auto& h : link_drops_) {
         h(p, r);
@@ -321,24 +321,22 @@ void Network::deliver_local(NodeId egress, const mpls::Packet& packet) {
 }
 
 void Network::notify_discard(NodeId where, const mpls::Packet& packet,
-                             std::string_view reason) {
+                             obs::DropReason reason) {
   if (books_locked()) {
     const std::lock_guard<std::mutex> lock(books_mutex_);
     for (const auto& handler : discard_) {
       handler(where, packet, reason);
     }
-    const obs::DropReason locked_r = obs::drop_reason_from_string(reason);
-    ++router_drops_[static_cast<std::size_t>(locked_r)];
+    ++router_drops_[static_cast<std::size_t>(reason)];
     return;
   }
   for (const auto& handler : discard_) {
     handler(where, packet, reason);
   }
-  const obs::DropReason r = obs::drop_reason_from_string(reason);
-  ++router_drops_[static_cast<std::size_t>(r)];
+  ++router_drops_[static_cast<std::size_t>(reason)];
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->record(tracer_->id_of(&packet), obs::SpanKind::kDrop, where,
-                    now(), 0.0, static_cast<std::uint16_t>(r));
+                    now(), 0.0, static_cast<std::uint16_t>(reason));
     tracer_->end(&packet);
   }
 }

@@ -10,7 +10,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "net/event_queue.hpp"
@@ -121,7 +120,7 @@ class Network {
   /// accounts every lost packet, so fault campaigns can check flow
   /// conservation: sent = delivered + accounted drops.
   using LinkDropHandler =
-      std::function<void(const mpls::Packet&, std::string_view reason)>;
+      std::function<void(const mpls::Packet&, obs::DropReason reason)>;
   void add_link_drop_handler(LinkDropHandler handler);
 
   /// Hand a packet to a node as locally injected traffic.
@@ -149,12 +148,12 @@ class Network {
   /// expiry, missing binding, malformed wire form, no next hop).  OAM
   /// traceroute and diagnostics subscribe here.
   using DiscardHandler = std::function<void(
-      NodeId where, const mpls::Packet&, std::string_view reason)>;
+      NodeId where, const mpls::Packet&, obs::DropReason reason)>;
   void add_discard_handler(DiscardHandler handler) {
     discard_.push_back(std::move(handler));
   }
   void notify_discard(NodeId where, const mpls::Packet& packet,
-                      std::string_view reason);
+                      obs::DropReason reason);
 
   [[nodiscard]] std::uint64_t delivered_count() const noexcept;
 

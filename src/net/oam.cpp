@@ -26,9 +26,9 @@ Oam::Oam(Network& net) : net_(&net) {
     }
   });
   net_->add_discard_handler(
-      [this](NodeId where, const mpls::Packet& p, std::string_view reason) {
+      [this](NodeId where, const mpls::Packet& p, obs::DropReason reason) {
         if (p.flow_id >= kOamFlowBase) {
-          settle(p.flow_id, false, where, reason);
+          settle(p.flow_id, false, where, obs::to_string(reason));
         }
       });
 }

@@ -201,18 +201,22 @@ struct ScenarioParser {
 
   /// `text` as the index of one of `names`; the error lists them.
   bool pick(const std::string& text, std::string_view what,
-            std::initializer_list<std::string_view> names, std::size_t& out) {
+            std::span<const std::string_view> names, std::size_t& out) {
     const auto it = std::find(names.begin(), names.end(), text);
     if (it == names.end()) {
       std::string message = "unknown " + std::string(what) + ": " + text;
       for (const std::string_view& n : names) {
-        message += &n == names.begin() ? " (" : "|";
+        message += &n == names.data() ? " (" : "|";
         message += n;
       }
       return fail(message + ")");
     }
     out = static_cast<std::size_t>(it - names.begin());
     return true;
+  }
+  bool pick(const std::string& text, std::string_view what,
+            std::initializer_list<std::string_view> names, std::size_t& out) {
+    return pick(text, what, {names.begin(), names.size()}, out);
   }
 
   /// `name` must be a router declared on an earlier line.
@@ -391,8 +395,10 @@ bool parse_router(ScenarioParser& p) {
   RouterDecl r;
   r.name = p.args[0];
   std::size_t type = 0;
-  // engine: linear|hash|cam|trie|hw or sharded:<N>[:trie].
+  // engine: linear|cam|trie|hw or sharded:<N>[:trie].
   const auto engine = [&r](ScenarioParser& p, const std::string& v) {
+    EngineDecl& e = r.engine;
+    e = EngineDecl{};
     if (v.rfind("sharded:", 0) == 0) {
       std::string count = v.substr(8);
       std::string replica;
@@ -401,20 +407,19 @@ bool parse_router(ScenarioParser& p) {
         replica = count.substr(colon + 1);
         count.resize(colon);
       }
-      unsigned shards = 0;
       std::size_t k = 0;
-      if (!p.value("sharded engine count (want 1..64)", count, kNumber,
-                   {.lo = 1, .hi = 64, .integer = true}, shards) ||
-          (colon != std::string::npos &&
-           !p.pick(replica, "sharded replica", {"trie"}, k))) {
-        return false;
-      }
-    } else if (std::size_t k = 0;
-               !p.pick(v, "engine", {"linear", "hash", "cam", "trie", "hw"},
-                       k)) {
+      e.kind = EngineDecl::Kind::kSharded;
+      e.trie_replicas = colon != std::string::npos;
+      return p.value("sharded engine count (want 1..64)", count, kNumber,
+                     {.lo = 1, .hi = 64, .integer = true}, e.shards) &&
+             (!e.trie_replicas ||
+              p.pick(replica, "sharded replica", {"trie"}, k));
+    }
+    std::size_t k = 0;
+    if (!p.pick(v, "engine", kEngineNames, k)) {
       return false;
     }
-    r.engine = v;
+    e.kind = static_cast<EngineDecl::Kind>(k);
     return true;
   };
   const auto cache = [&r](ScenarioParser& p, const std::string& v) {

@@ -9,6 +9,7 @@
 // core/scenario_runner.hpp (the runner needs the router classes).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -34,12 +35,28 @@ struct ScenarioError {
   std::string message;
 };
 
+/// A router's `engine=` value, decoded once by the parser.
+struct EngineDecl {
+  /// The first four are spelled by kEngineNames, in this order.
+  enum class Kind : std::uint8_t { kLinear, kCam, kTrie, kHw, kSharded };
+  Kind kind = Kind::kLinear;
+  /// Parallel worker shards of `sharded:<N>` (1..64); 0 otherwise.
+  unsigned shards = 0;
+  /// `sharded:<N>:trie`: the shards run trie replicas, not linear ones.
+  bool trie_replicas = false;
+};
+
+/// The plain `engine=` keywords the parser picks from (`sharded:<N>`
+/// is spelled apart).
+inline constexpr std::array<std::string_view, 4> kEngineNames = {
+    "linear", "cam", "trie", "hw"};
+static_assert(kEngineNames.size() ==
+              static_cast<std::size_t>(EngineDecl::Kind::kSharded));
+
 struct RouterDecl {
   std::string name;
   bool is_ler = false;
-  /// linear | hash | cam | trie | hw | sharded:<N> (N parallel worker
-  /// shards over linear replicas; sharded:<N>:trie for trie replicas).
-  std::string engine = "linear";
+  EngineDecl engine;
   double clock_hz = 50e6;
   /// Engine batch size (`batch=K`); 0 = engine default (16 for sharded
   /// engines, per-packet service otherwise).

@@ -5,9 +5,10 @@
 // inconsistent operation, unresolvable next hop) and link transmission
 // (offered while down, CoS queue overflow) — maps onto one DropReason,
 // so the scenario report and the metrics snapshot can break losses down
-// per cause instead of a single aggregate.  The string forms are the
-// exact reason strings the discard/drop handlers have always carried
-// (OAM parses them), so from_string() round-trips the legacy channel.
+// per cause instead of a single aggregate.  Discards travel as this enum
+// from the discard site to the books; the to_string() names are what OAM
+// probe results, the scenario report and the `empls_drops_total` labels
+// print.
 #pragma once
 
 #include <array>
@@ -35,7 +36,7 @@ enum class DropReason : std::uint8_t {
   kTtlRateLimited,       // TTL-expiry processing budget exceeded
   kReprogramRateLimited, // info-base reprogram admission refused
   kOverloadShed,         // graceful degradation shed (lowest CoS first)
-  kOther,             // unrecognised reason string
+  kOther,             // a discard with no more specific reason
 };
 
 inline constexpr std::size_t kDropReasonCount = 15;
@@ -77,17 +78,6 @@ using DropCounts = std::array<std::uint64_t, kDropReasonCount>;
       return "other";
   }
   return "?";
-}
-
-[[nodiscard]] constexpr DropReason drop_reason_from_string(
-    std::string_view s) noexcept {
-  for (std::size_t i = 0; i < kDropReasonCount; ++i) {
-    const auto r = static_cast<DropReason>(i);
-    if (s == to_string(r)) {
-      return r;
-    }
-  }
-  return DropReason::kOther;
 }
 
 }  // namespace empls::obs

@@ -1,21 +1,22 @@
 // Common interface over every label-processing engine: the cycle-accurate
-// hardware model and the software baselines.
+// hardware model and the software engines.
 //
 // The paper argues core MPLS tasks belong in hardware while "most
 // existing MPLS solutions are entirely software based".  This interface
 // lets the benches and the network simulator swap engines freely:
 //
-//   * HwEngine     — adapter over the RTL label stack modifier
-//   * LinearEngine — software mirror of the hardware algorithm (also the
-//                    golden model for differential tests)
-//   * HashEngine   — modern hash-map software router
-//   * CamEngine    — ablation: hardware with a content-addressable
-//                    information base (parallel compare, constant-time)
+//   * HwEngine      — adapter over the RTL label stack modifier
+//   * LinearEngine  — software mirror of the hardware algorithm (also the
+//                     golden model for differential tests)
+//   * CamEngine     — ablation: hardware with a content-addressable
+//                     information base (parallel compare, constant-time)
+//   * TrieEngine    — the million-entry FIB tier (patricia LPM + label
+//                     hash tables), linear-equivalent cycles to 1024 pairs
+//   * ShardedEngine — N worker shards over replicated engines
 //
 // update() consumes a Packet, applies the information-base operation to
 // its label stack in place, and reports the outcome plus the modelled
-// hardware cost in clock cycles (0 when the engine has no hardware
-// model, i.e. pure software measured by wall clock instead).
+// hardware cost in clock cycles.
 #pragma once
 
 #include <optional>
@@ -38,20 +39,6 @@ enum class DiscardReason : rtl::u8 {
   kInconsistent,  // VERIFY INFO failure: bad op / overflow / router type
 };
 
-[[nodiscard]] constexpr std::string_view to_string(DiscardReason r) noexcept {
-  switch (r) {
-    case DiscardReason::kNone:
-      return "none";
-    case DiscardReason::kMiss:
-      return "no-label-binding";
-    case DiscardReason::kTtlExpired:
-      return "ttl-expired";
-    case DiscardReason::kInconsistent:
-      return "inconsistent-operation";
-  }
-  return "?";
-}
-
 struct UpdateOutcome {
   bool discarded = false;
   DiscardReason reason = DiscardReason::kNone;
@@ -59,7 +46,7 @@ struct UpdateOutcome {
   /// TTL value the operation produced (the datapath TTL counter): what
   /// egress processing writes back into the IP header on a final pop.
   rtl::u8 ttl_after = 0;
-  /// Modelled hardware cost; 0 for pure-software engines.
+  /// Modelled hardware cost in clock cycles.
   rtl::u64 hw_cycles = 0;
 };
 
@@ -126,8 +113,8 @@ class LabelEngine {
 
   /// Whether the embedded router may serve this engine's decisions from
   /// its flow cache.  True for the single-datapath software engines
-  /// whose modelled cost decomposes into search + tail (linear, hash,
-  /// cam, trie).  False for the RTL-backed engines — the cycle-accurate
+  /// whose modelled cost decomposes into search + tail (linear, cam,
+  /// trie).  False for the RTL-backed engines — the cycle-accurate
   /// model must see every packet — and for the sharded plane, whose
   /// makespan model (slowest shard) would change if cache hits were
   /// carved out of its batches.

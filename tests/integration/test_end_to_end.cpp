@@ -15,7 +15,6 @@
 #include "net/traffic.hpp"
 #include "sw/hw_engine.hpp"
 #include "sw/linear_engine.hpp"
-#include "sw/pipeline_engine.hpp"
 
 namespace empls {
 namespace {
@@ -26,17 +25,11 @@ using net::ControlPlane;
 using net::Network;
 using net::NodeId;
 
-enum class EngineKind { kLinear, kHwRtl, kHwPipeline };
+enum class EngineKind { kLinear, kHwRtl };
 
-std::unique_ptr<sw::LabelEngine> make_engine(EngineKind kind,
-                                             hw::RouterType type) {
-  switch (kind) {
-    case EngineKind::kHwRtl:
-      return std::make_unique<sw::HwEngine>();
-    case EngineKind::kHwPipeline:
-      return std::make_unique<sw::PipelineEngine>(type);
-    case EngineKind::kLinear:
-      break;
+std::unique_ptr<sw::LabelEngine> make_engine(EngineKind kind) {
+  if (kind == EngineKind::kHwRtl) {
+    return std::make_unique<sw::HwEngine>();
   }
   return std::make_unique<sw::LinearEngine>();
 }
@@ -46,7 +39,7 @@ NodeId add_router(Network& net, ControlPlane& cp, const std::string& name,
   RouterConfig cfg;
   cfg.type = type;
   auto router =
-      std::make_unique<EmbeddedRouter>(name, make_engine(kind, type), cfg);
+      std::make_unique<EmbeddedRouter>(name, make_engine(kind), cfg);
   EmbeddedRouter* raw = router.get();
   const NodeId id = net.add_node(std::move(router));
   cp.register_router(id, &raw->routing());
@@ -300,18 +293,11 @@ TEST_P(EndToEnd, MergedIngressesShareTheTail) {
 
 INSTANTIATE_TEST_SUITE_P(Engines, EndToEnd,
                          ::testing::Values(EngineKind::kLinear,
-                                           EngineKind::kHwRtl,
-                                           EngineKind::kHwPipeline),
+                                           EngineKind::kHwRtl),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case EngineKind::kLinear:
-                               return "Linear";
-                             case EngineKind::kHwRtl:
-                               return "HwRtl";
-                             case EngineKind::kHwPipeline:
-                               return "HwPipeline";
-                           }
-                           return "?";
+                           return info.param == EngineKind::kHwRtl
+                                      ? "HwRtl"
+                                      : "Linear";
                          });
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
 
 #include "core/embedded_router.hpp"
 #include "net/fault_injector.hpp"
@@ -132,6 +133,12 @@ TEST(OpenLoopGenerator, ConservationHoldsExactlyThroughCongestion) {
   EXPECT_EQ(rig.ledger.sent_total(),
             rig.ledger.delivered_total() +
                 rig.drops.drops_in_range(kLoadGenFlowBase, kAttackFlowBase));
+  // The accountant and the network's per-reason book count the same
+  // drops: the queue-full drops reach the first through the link drop
+  // hook and the second through the link counters.
+  const auto totals = rig.net.drop_totals();
+  EXPECT_EQ(rig.drops.total(),
+            std::accumulate(totals.begin(), totals.end(), std::uint64_t{0}));
 }
 
 TEST(FlowLedger, QuantilesComeFromTheLatencyHistogram) {

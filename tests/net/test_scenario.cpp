@@ -2,9 +2,11 @@
 // suffixes, and error reporting with line numbers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "net/scenario.hpp"
 
@@ -77,7 +79,7 @@ run 1s
   EXPECT_EQ(s.qos.queue_capacity, 16u);
   ASSERT_EQ(s.routers.size(), 4u);
   EXPECT_TRUE(s.routers[0].is_ler);
-  EXPECT_EQ(s.routers[0].engine, "hw");
+  EXPECT_EQ(s.routers[0].engine.kind, EngineDecl::Kind::kHw);
   EXPECT_DOUBLE_EQ(s.routers[0].clock_hz, 25e6);
   EXPECT_EQ(s.links.size(), 3u);
   ASSERT_EQ(s.lsps.size(), 2u);
@@ -107,14 +109,19 @@ TEST(ScenarioParse, EngineKindsAcceptedAndRejected) {
       "router C lsr engine=cam\n"
       "router D lsr engine=sharded:8\n");
   ASSERT_EQ(s.routers.size(), 4u);
-  EXPECT_EQ(s.routers[0].engine, "trie");
-  EXPECT_EQ(s.routers[1].engine, "sharded:4:trie");
-  EXPECT_EQ(s.routers[2].engine, "cam");
-  EXPECT_EQ(s.routers[3].engine, "sharded:8");
+  EXPECT_EQ(s.routers[0].engine.kind, EngineDecl::Kind::kTrie);
+  EXPECT_EQ(s.routers[1].engine.kind, EngineDecl::Kind::kSharded);
+  EXPECT_EQ(s.routers[1].engine.shards, 4u);
+  EXPECT_TRUE(s.routers[1].engine.trie_replicas);
+  EXPECT_EQ(s.routers[2].engine.kind, EngineDecl::Kind::kCam);
+  EXPECT_EQ(s.routers[3].engine.kind, EngineDecl::Kind::kSharded);
+  EXPECT_EQ(s.routers[3].engine.shards, 8u);
+  EXPECT_FALSE(s.routers[3].engine.trie_replicas);
 
-  EXPECT_NE(parse_err("router A ler engine=patricia\n")
-                .message.find("unknown engine"),
-            std::string::npos);
+  const auto unknown =
+      parse_err("router A ler\nrouter B lsr engine=patricia\n");
+  EXPECT_EQ(unknown.line, 2);
+  EXPECT_EQ(unknown.message, "unknown engine: patricia (linear|cam|trie|hw)");
   EXPECT_NE(parse_err("router A ler engine=sharded:4:hash\n")
                 .message.find("replica"),
             std::string::npos);
@@ -475,6 +482,31 @@ TEST(ScenarioDirectives, TableMatchesDocsGrammar) {
     EXPECT_TRUE(table.emplace(d.name).second) << "duplicate: " << d.name;
   }
   EXPECT_EQ(table, documented);
+}
+
+TEST(ScenarioDirectives, RouterGrammarListsTheParsersEngines) {
+  // The `router` grammar line's engine= alternatives are the keywords
+  // the parser picks from, in its order, then the sharded spelling.
+  std::ifstream in(EMPLS_SCENARIO_DOC);
+  ASSERT_TRUE(in) << EMPLS_SCENARIO_DOC;
+  std::string line;
+  while (std::getline(in, line) && line.rfind("router ", 0) != 0) {
+  }
+  const auto at = line.find("[engine=");
+  ASSERT_NE(at, std::string::npos) << "no router grammar line";
+  const auto begin = at + 8;
+  std::string spec = line.substr(begin, line.find(' ', begin) - begin);
+  ASSERT_EQ(spec.back(), ']');
+  spec.pop_back();  // the option's own closing bracket
+  std::vector<std::string> documented;
+  for (std::size_t pos = 0; pos <= spec.size();) {
+    const auto bar = std::min(spec.find('|', pos), spec.size());
+    documented.push_back(spec.substr(pos, bar - pos));
+    pos = bar + 1;
+  }
+  std::vector<std::string> parsed(kEngineNames.begin(), kEngineNames.end());
+  parsed.emplace_back("sharded:<N>[:trie]");
+  EXPECT_EQ(documented, parsed);
 }
 
 }  // namespace

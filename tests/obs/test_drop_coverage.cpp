@@ -134,8 +134,8 @@ DropCounts direct_rig_drops() {
       2, mpls::LabelPair{41, 0, mpls::LabelOp::kNop});
   rig.net.inject(rig.router_id, labeled(41));
   rig.net.run();
-  // An unrecognised reason string lands in the kOther catch-all.
-  rig.net.notify_discard(rig.router_id, labeled(42), "cosmic-ray");
+  // The catch-all: a discard with no more specific reason.
+  rig.net.notify_discard(rig.router_id, labeled(42), DropReason::kOther);
   return rig.net.drop_totals();
 }
 

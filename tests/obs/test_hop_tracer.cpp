@@ -150,14 +150,5 @@ TEST(HopTracer, ChromeTraceShape) {
   EXPECT_EQ(json.find("0x"), std::string::npos);
 }
 
-TEST(DropReason, RoundTripsThroughStrings) {
-  for (std::size_t i = 0; i < kDropReasonCount; ++i) {
-    const auto r = static_cast<DropReason>(i);
-    EXPECT_EQ(drop_reason_from_string(to_string(r)), r);
-  }
-  // Unknown reasons map to kOther rather than asserting.
-  EXPECT_EQ(drop_reason_from_string("not-a-reason"), DropReason::kOther);
-}
-
 }  // namespace
 }  // namespace empls::obs

@@ -7,8 +7,8 @@
 // scan (aos_oracle.hpp), so LinearEngine's key-lane scan is one of the
 // engines under test.  Engines that mirror the hardware's linear-search
 // cost model (linear, trie, and the sharded plane whose replicas run
-// them) must also charge bit-identical Table 6 cycles; hash and CAM
-// intentionally cost differently, so only their semantics are compared.
+// them) must also charge bit-identical Table 6 cycles; CAM intentionally
+// costs differently, so only its semantics are compared.
 //
 // The sharded parameterization runs the batches through real worker
 // threads, which is why the TSan CI job includes this suite.
@@ -22,7 +22,6 @@
 
 #include "../sw/aos_oracle.hpp"
 #include "sw/cam_engine.hpp"
-#include "sw/hash_engine.hpp"
 #include "sw/linear_engine.hpp"
 #include "sw/semantics.hpp"
 #include "sw/sharded_engine.hpp"
@@ -38,9 +37,6 @@ using mpls::LabelPair;
 std::unique_ptr<sw::LabelEngine> make_engine(const std::string& kind) {
   if (kind == "linear") {
     return std::make_unique<sw::LinearEngine>();
-  }
-  if (kind == "hash") {
-    return std::make_unique<sw::HashEngine>();
   }
   if (kind == "cam") {
     return std::make_unique<sw::CamEngine>();
@@ -222,7 +218,6 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsByEngine, EngineDifferential,
     ::testing::Combine(::testing::Values(1u, 42u, 31415u),
                        ::testing::Values(std::string("linear"),
-                                         std::string("hash"),
                                          std::string("cam"),
                                          std::string("trie"),
                                          std::string("sharded2"),

@@ -162,10 +162,12 @@ TEST_P(ScenarioFuzz, DirectiveSoupNeverCrashes) {
       // runner, which feeds them unchecked into ShardedEngine).
       const auto& s = std::get<Scenario>(result);
       for (const auto& r : s.routers) {
-        if (r.engine.rfind("sharded:", 0) == 0) {
-          const int n = std::stoi(r.engine.substr(8));
-          EXPECT_GE(n, 1);
-          EXPECT_LE(n, 64);
+        if (r.engine.kind == EngineDecl::Kind::kSharded) {
+          EXPECT_GE(r.engine.shards, 1u);
+          EXPECT_LE(r.engine.shards, 64u);
+        } else {
+          EXPECT_EQ(r.engine.shards, 0u);
+          EXPECT_FALSE(r.engine.trie_replicas);
         }
         EXPECT_LE(r.batch, 4096u);
       }

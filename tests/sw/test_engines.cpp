@@ -1,13 +1,12 @@
 // Engine tests: every LabelEngine implementation agrees on behaviour
 // (parameterized over engines), plus engine-specific semantics — linear
-// scan order, hash first-binding-wins, CAM cost model, capacity limits.
+// scan order, CAM cost model, capacity limits.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "hw/cycle_model.hpp"
 #include "sw/cam_engine.hpp"
-#include "sw/hash_engine.hpp"
 #include "sw/hw_engine.hpp"
 #include "sw/linear_engine.hpp"
 #include "sw/trie_engine.hpp"
@@ -19,16 +18,14 @@ using mpls::LabelEntry;
 using mpls::LabelOp;
 using mpls::LabelPair;
 
-// The values are what the parameterized rows print; 3 belonged to an
-// engine the linear engine replaced.
-enum class Kind { kLinear, kHash, kCam, kTrie = 4, kHwRtl };
+// The values are what the parameterized rows print; 1 and 3 belonged to
+// deleted engines.
+enum class Kind { kLinear, kCam = 2, kTrie = 4, kHwRtl };
 
 std::unique_ptr<LabelEngine> make(Kind kind, std::size_t capacity = 1024) {
   switch (kind) {
     case Kind::kLinear:
       return std::make_unique<LinearEngine>(capacity);
-    case Kind::kHash:
-      return std::make_unique<HashEngine>(capacity);
     case Kind::kCam:
       return std::make_unique<CamEngine>(capacity);
     case Kind::kTrie:
@@ -43,8 +40,6 @@ const char* kind_name(Kind k) {
   switch (k) {
     case Kind::kLinear:
       return "Linear";
-    case Kind::kHash:
-      return "Hash";
     case Kind::kCam:
       return "Cam";
     case Kind::kTrie:
@@ -122,9 +117,8 @@ TEST_P(EveryEngine, ClearForgetsEverything) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, EveryEngine,
-                         ::testing::Values(Kind::kLinear, Kind::kHash,
-                                           Kind::kCam, Kind::kTrie,
-                                           Kind::kHwRtl),
+                         ::testing::Values(Kind::kLinear, Kind::kCam,
+                                           Kind::kTrie, Kind::kHwRtl),
                          [](const auto& info) {
                            return kind_name(info.param);
                          });
@@ -160,24 +154,6 @@ TEST(LinearEngine, ModeledCyclesMatchTable6) {
   p.stack.push(LabelEntry{7, 0, false, 64});
   const auto out = e.update(p, 2, hw::RouterType::kLsr);
   EXPECT_EQ(out.hw_cycles, hw::update_swap_cycles(7));
-}
-
-TEST(HashEngine, FirstBindingWinsLikeTheScan) {
-  HashEngine e;
-  e.write_pair(2, LabelPair{40, 111, LabelOp::kSwap});
-  e.write_pair(2, LabelPair{40, 222, LabelOp::kPop});
-  const auto hit = e.lookup(2, 40);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->new_label, 111u)
-      << "must match the hardware's first-match scan order";
-}
-
-TEST(HashEngine, NoHardwareCycleModel) {
-  HashEngine e;
-  e.write_pair(2, LabelPair{40, 77, LabelOp::kSwap});
-  mpls::Packet p;
-  p.stack.push(LabelEntry{40, 0, false, 64});
-  EXPECT_EQ(e.update(p, 2, hw::RouterType::kLsr).hw_cycles, 0u);
 }
 
 TEST(CamEngine, ConstantSearchCost) {

@@ -3,6 +3,10 @@
 // contract every engine (and the RTL) is held to.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string_view>
+
+#include "obs/drop_reason.hpp"
 #include "sw/semantics.hpp"
 
 namespace empls::sw {
@@ -142,11 +146,19 @@ TEST(ApplyUpdate, NestedPushDuplicatesTtlAndCos) {
 }
 
 TEST(DiscardReasonNames, AreStable) {
-  // OAM matches on these strings; renaming them is a breaking change.
-  EXPECT_EQ(to_string(DiscardReason::kMiss), "no-label-binding");
-  EXPECT_EQ(to_string(DiscardReason::kTtlExpired), "ttl-expired");
-  EXPECT_EQ(to_string(DiscardReason::kInconsistent),
-            "inconsistent-operation");
+  // OAM probe results, the scenario report, the empls_drops_total labels
+  // and the bench ledger's keys all print these names; renaming one is a
+  // breaking change.
+  const std::array<std::string_view, obs::kDropReasonCount> names = {
+      "no-label-binding", "ttl-expired",    "inconsistent-operation",
+      "no-next-hop",      "malformed",      "policer",
+      "engine-overrun",   "queue-full",     "link-down",
+      "reserved-label",   "spoofed-label",  "ttl-rate-limited",
+      "reprogram-rate-limited", "overload-shed", "other"};
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(obs::to_string(static_cast<obs::DropReason>(i)), names[i])
+        << i;
+  }
 }
 
 }  // namespace
