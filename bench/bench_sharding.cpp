@@ -1,4 +1,4 @@
-// Shards-vs-throughput sweep for the sharded parallel forwarding plane.
+// Shards-vs-throughput sweep for the sharded forwarding plane.
 //
 // Programs 512 self-mapping level-2 swap entries, then pushes batches of
 // labeled packets (256 flows, uniform over the table) through
@@ -9,8 +9,10 @@
 //     50 MHz clock.  A sharded plane's makespan is its slowest shard's
 //     cycle sum, so N shards are N parallel datapaths; this is the
 //     quantity the sweep gates on (>= 3x at 8 shards vs 1).
-//   * wall clock — informational only; it measures the host, which may
-//     have a single core and then shows no parallel speedup at all.
+//   * wall clock — informational only.  ShardedEngine runs its inner
+//     LinearEngine on the caller's thread, so its wall column measures
+//     the model's per-packet bookkeeping (the shard hash and the load
+//     tally) against the linear row.
 //
 // Emits sharding_sweep.csv and exits non-zero if the modelled sweep
 // fails its checks.
@@ -146,7 +148,7 @@ int main() {
   std::printf("\n");
 
   // One shard serialises everything, so its makespan must equal the
-  // single-datapath baseline exactly (the replicas ARE LinearEngines).
+  // single-datapath baseline exactly (the inner engine IS a LinearEngine).
   checks.expect_eq("sharded:1 modelled cycles == linear",
                    static_cast<long long>(linear_cycles),
                    static_cast<long long>(sharded1_cycles));

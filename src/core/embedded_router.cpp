@@ -554,8 +554,8 @@ void EmbeddedRouter::process_batch(std::vector<Pending> work) {
   }
 
   // Slow-path retries stay per packet (they are rare and reprogram the
-  // information base, which quiesces a sharded engine anyway).  As in
-  // process(), the guard's reprogram admission gates each install.
+  // information base between updates).  As in process(), the guard's
+  // reprogram admission gates each install.
   std::vector<std::uint8_t> reprogram_refused(guard_ ? n : 0, 0);
   for (std::size_t i = 0; i < n; ++i) {
     if (!(outcomes[i].discarded &&

@@ -41,9 +41,8 @@ std::unique_ptr<sw::LabelEngine> make_engine(const net::EngineDecl& e) {
       return std::make_unique<sw::HwEngine>();
     case EngineKind::kSharded:
       if (e.trie_replicas) {
-        return std::make_unique<sw::ShardedEngine>(e.shards, [] {
-          return std::make_unique<sw::TrieEngine>();
-        });
+        return std::make_unique<sw::ShardedEngine>(
+            e.shards, std::make_unique<sw::TrieEngine>());
       }
       return std::make_unique<sw::ShardedEngine>(e.shards);
   }
@@ -362,13 +361,8 @@ std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
 
   // Ingress policers.
   for (const auto& decl : scenario.policers) {
-    net::PolicerConfig cfg;
-    cfg.rate_bps = decl.rate_bps;
-    cfg.burst_bytes = decl.burst_bytes;
-    cfg.action = decl.demote ? net::PolicerAction::kDemote
-                             : net::PolicerAction::kDrop;
     net.node_as<EmbeddedRouter>(id_of(decl.ingress))
-        .set_policer(decl.flow_id, cfg);
+        .set_policer(decl.flow_id, decl.config);
   }
 
   // Ingress guards (the `guard` directive; `guard *` arms every
@@ -438,26 +432,11 @@ std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
   std::vector<std::unique_ptr<net::OpenLoopGenerator>> generators;
   for (std::size_t i = 0; i < scenario.loadgens.size(); ++i) {
     const auto& decl = scenario.loadgens[i];
-    net::LoadGenConfig cfg;
-    cfg.arrivals = decl.kind == "mmpp"
-                       ? net::LoadGenConfig::Arrivals::kMmpp
-                       : net::LoadGenConfig::Arrivals::kPoisson;
+    net::LoadGenConfig cfg = decl.config;
     cfg.ingress = id_of(decl.ingress);
-    cfg.dst = *mpls::Ipv4Address::parse(decl.dst);
-    cfg.rate_pps = decl.rate_pps;
-    cfg.burst_rate_pps = decl.burst_rate_pps;
-    cfg.mean_sojourn = decl.sojourn;
-    cfg.concurrent_flows = decl.flows;
-    cfg.pareto_alpha = decl.alpha;
-    cfg.pareto_min_packets = decl.min_packets;
-    cfg.cos = decl.cos;
-    cfg.payload_bytes = decl.size;
-    cfg.seed = decl.seed;
     cfg.flow_id_base = net::kLoadGenFlowBase +
                        static_cast<std::uint32_t>(i) *
                            net::kLoadGenFlowStride;
-    cfg.start = decl.start;
-    cfg.stop = decl.stop;
     generators.push_back(std::make_unique<net::OpenLoopGenerator>(
         net, cfg, &*ledger));
     generators.back()->start();
@@ -468,17 +447,8 @@ std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
   if (!scenario.attacks.empty()) {
     campaign.emplace(net);
     for (const auto& decl : scenario.attacks) {
-      net::AttackSpec spec;
-      spec.kind = *net::attack_kind_from_string(decl.kind);
-      spec.at = decl.at;
-      spec.duration = decl.duration;
+      net::AttackSpec spec = decl.spec;
       spec.ingress = id_of(decl.ingress);
-      spec.rate_pps = decl.rate_pps;
-      spec.seed = decl.seed;
-      if (!decl.dst.empty()) {
-        spec.dst = *mpls::Ipv4Address::parse(decl.dst);
-      }
-      spec.cos = decl.cos;
       campaign->launch(spec);
     }
   }
@@ -486,27 +456,26 @@ std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
   // Traffic sources (kept alive for the run's duration).
   std::vector<std::unique_ptr<net::TrafficSource>> sources;
   for (const auto& decl : scenario.flows) {
-    net::FlowSpec spec;
-    spec.flow_id = decl.id;
+    net::FlowSpec spec = decl.spec;
     spec.ingress = id_of(decl.ingress);
-    spec.dst = *mpls::Ipv4Address::parse(decl.dst);
-    spec.cos = decl.cos;
-    spec.payload_bytes = decl.size;
-    spec.start = decl.start;
-    spec.stop = decl.stop;
-    if (decl.kind == "cbr") {
-      sources.push_back(std::make_unique<net::CbrSource>(
-          net, spec, &report.flows, decl.interval));
-    } else if (decl.kind == "poisson") {
-      sources.push_back(std::make_unique<net::PoissonSource>(
-          net, spec, &report.flows, decl.rate, decl.seed));
-    } else if (decl.kind == "video") {
-      sources.push_back(std::make_unique<net::VideoSource>(
-          net, spec, &report.flows, 1.0 / decl.fps, decl.ppf));
-    } else {
-      sources.push_back(std::make_unique<net::OnOffSource>(
-          net, spec, &report.flows, decl.rate, decl.mean_on, decl.mean_off,
-          decl.seed));
+    switch (decl.kind) {
+      case net::FlowDecl::Kind::kCbr:
+        sources.push_back(std::make_unique<net::CbrSource>(
+            net, spec, &report.flows, decl.interval));
+        break;
+      case net::FlowDecl::Kind::kPoisson:
+        sources.push_back(std::make_unique<net::PoissonSource>(
+            net, spec, &report.flows, decl.rate, decl.seed));
+        break;
+      case net::FlowDecl::Kind::kVideo:
+        sources.push_back(std::make_unique<net::VideoSource>(
+            net, spec, &report.flows, 1.0 / decl.fps, decl.ppf));
+        break;
+      case net::FlowDecl::Kind::kOnOff:
+        sources.push_back(std::make_unique<net::OnOffSource>(
+            net, spec, &report.flows, decl.rate, decl.mean_on,
+            decl.mean_off, decl.seed));
+        break;
     }
     sources.back()->start();
   }

@@ -10,7 +10,6 @@
 #include <type_traits>
 
 #include "net/domain.hpp"
-#include "net/loadgen.hpp"
 
 namespace empls::net {
 
@@ -229,11 +228,12 @@ struct ScenarioParser {
     return true;
   }
 
-  bool address(const std::string& text, std::string& out) {
-    if (!mpls::Ipv4Address::parse(text)) {
+  bool address(const std::string& text, mpls::Ipv4Address& out) {
+    const auto addr = mpls::Ipv4Address::parse(text);
+    if (!addr) {
       return fail("bad destination address: " + text);
     }
-    out = text;
+    out = *addr;
     return true;
   }
 
@@ -535,15 +535,16 @@ bool parse_lsp_via_tunnel(ScenarioParser& p) {
 bool parse_flow(ScenarioParser& p) {
   const auto& a = p.args;
   FlowDecl f;
+  FlowSpec& spec = f.spec;
   std::size_t kind = 0;
   if (!p.pick(a[0], "flow kind", {"cbr", "poisson", "video", "onoff"},
               kind) ||
-      !p.value("flow id", a[1], kNumber, kUserFlowId, f.id) ||
-      !p.router(a[2], f.ingress) || !p.address(a[3], f.dst) ||
-      !p.options(4, {opt("cos", kNumber, f.cos, kCos),
-                     opt("size", kNumber, f.size, kNonNegative),
-                     opt("start", kTime, f.start),
-                     opt("stop", kTime, f.stop),
+      !p.value("flow id", a[1], kNumber, kUserFlowId, spec.flow_id) ||
+      !p.router(a[2], f.ingress) || !p.address(a[3], spec.dst) ||
+      !p.options(4, {opt("cos", kNumber, spec.cos, kCos),
+                     opt("size", kNumber, spec.payload_bytes, kNonNegative),
+                     opt("start", kTime, spec.start),
+                     opt("stop", kTime, spec.stop),
                      opt("interval", kTime, f.interval, kPositive),
                      opt("rate", kNumber, f.rate, kPositive),
                      opt("seed", kNumber, f.seed),
@@ -553,7 +554,7 @@ bool parse_flow(ScenarioParser& p) {
                      opt("off", kTime, f.mean_off, kPositive)})) {
     return false;
   }
-  f.kind = a[0];
+  f.kind = static_cast<FlowDecl::Kind>(kind);  // names listed in enum order
   p.s.flows.push_back(std::move(f));
   return true;
 }
@@ -606,13 +607,16 @@ bool parse_corrupt(ScenarioParser& p) {
 
 bool parse_police(ScenarioParser& p) {
   Scenario::PolicerDecl d;
+  PolicerConfig& c = d.config;
+  bool demote = false;
   if (!p.router(p.args[0], d.ingress) ||
       !p.value("flow id", p.args[1], kNumber, kNonNegative, d.flow_id) ||
-      !p.value("rate", p.args[2], kRate, kAny, d.rate_bps) ||
-      !p.options(3, {opt("burst", kNumber, d.burst_bytes, kPositive),
-                     flag("demote", d.demote)})) {
+      !p.value("rate", p.args[2], kRate, kAny, c.rate_bps) ||
+      !p.options(3, {opt("burst", kNumber, c.burst_bytes, kPositive),
+                     flag("demote", demote)})) {
     return false;
   }
+  c.action = demote ? PolicerAction::kDemote : PolicerAction::kDrop;
   p.s.policers.push_back(std::move(d));
   return true;
 }
@@ -620,23 +624,27 @@ bool parse_police(ScenarioParser& p) {
 bool parse_loadgen(ScenarioParser& p) {
   const auto& a = p.args;
   LoadGenDecl g;
+  LoadGenConfig& c = g.config;
   std::size_t kind = 0;
   if (!p.pick(a[0], "loadgen arrivals", {"poisson", "mmpp"}, kind) ||
-      !p.router(a[1], g.ingress) || !p.address(a[2], g.dst) ||
-      !p.options(3, {opt("rate", kRate, g.rate_pps, kPositive),
-                     opt("burst-rate", kRate, g.burst_rate_pps, kNonNegative),
-                     opt("sojourn", kTime, g.sojourn, kPositive),
-                     opt("flows", kNumber, g.flows, {.lo = 1, .hi = 16e6}),
-                     opt("alpha", kNumber, g.alpha, kPositive),
-                     opt("minpkts", kNumber, g.min_packets, kAtLeastOne),
-                     opt("cos", kNumber, g.cos, kCos),
-                     opt("size", kNumber, g.size, kNonNegative),
-                     opt("seed", kNumber, g.seed),
-                     opt("start", kTime, g.start),
-                     opt("stop", kTime, g.stop)})) {
+      !p.router(a[1], g.ingress) || !p.address(a[2], c.dst) ||
+      !p.options(3, {opt("rate", kRate, c.rate_pps, kPositive),
+                     opt("burst-rate", kRate, c.burst_rate_pps, kNonNegative),
+                     opt("sojourn", kTime, c.mean_sojourn, kPositive),
+                     opt("flows", kNumber, c.concurrent_flows,
+                         {.lo = 1, .hi = 16e6}),
+                     opt("alpha", kNumber, c.pareto_alpha, kPositive),
+                     opt("minpkts", kNumber, c.pareto_min_packets,
+                         kAtLeastOne),
+                     opt("cos", kNumber, c.cos, kCos),
+                     opt("size", kNumber, c.payload_bytes, kNonNegative),
+                     opt("seed", kNumber, c.seed),
+                     opt("start", kTime, c.start),
+                     opt("stop", kTime, c.stop)})) {
     return false;
   }
-  g.kind = a[0];
+  // Names listed in enum order.
+  c.arrivals = static_cast<LoadGenConfig::Arrivals>(kind);
   p.s.loadgens.push_back(std::move(g));
   return true;
 }
@@ -644,22 +652,23 @@ bool parse_loadgen(ScenarioParser& p) {
 bool parse_attack(ScenarioParser& p) {
   const auto& a = p.args;
   AttackDecl d;
-  const auto dst = [&d](ScenarioParser& p, const std::string& v) {
-    return p.address(v, d.dst);
+  AttackSpec& spec = d.spec;
+  const auto dst = [&spec](ScenarioParser& p, const std::string& v) {
+    return p.address(v, spec.dst);
   };
   std::size_t kind = 0;
   if (!p.pick(a[0], "attack kind",
               {"spoof", "ttl_flood", "reserved", "exhaust"}, kind) ||
-      !p.value("time", a[1], kTime, kAny, d.at) ||
+      !p.value("time", a[1], kTime, kAny, spec.at) ||
       !p.router(a[2], d.ingress) ||
-      !p.options(3, {opt("rate", kRate, d.rate_pps, kPositive),
-                     opt("for", kTime, d.duration, kPositive),
-                     opt("seed", kNumber, d.seed),
+      !p.options(3, {opt("rate", kRate, spec.rate_pps, kPositive),
+                     opt("for", kTime, spec.duration, kPositive),
+                     opt("seed", kNumber, spec.seed),
                      {"dst", dst},
-                     opt("cos", kNumber, d.cos, kCos)})) {
+                     opt("cos", kNumber, spec.cos, kCos)})) {
     return false;
   }
-  d.kind = a[0];
+  spec.kind = *attack_kind_from_string(a[0]);
   p.s.attacks.push_back(std::move(d));
   return true;
 }
@@ -686,10 +695,12 @@ bool parse_guard(ScenarioParser& p) {
 /// `ping` and `traceroute`.
 bool parse_oam(ScenarioParser& p) {
   OamDecl o;
+  mpls::Ipv4Address dst;  // checked here; the report echoes the text
   if (!p.value("time", p.args[0], kTime, kAny, o.at) ||
-      !p.router(p.args[1], o.ingress) || !p.address(p.args[2], o.dst)) {
+      !p.router(p.args[1], o.ingress) || !p.address(p.args[2], dst)) {
     return false;
   }
+  o.dst = p.args[2];
   o.traceroute = p.directive == "traceroute";
   p.s.oam_probes.push_back(std::move(o));
   return true;

@@ -20,9 +20,12 @@
 #include <vector>
 
 #include "mpls/fec.hpp"
+#include "net/attack.hpp"
 #include "net/event_queue.hpp"
 #include "net/guard.hpp"
+#include "net/loadgen.hpp"
 #include "net/qos.hpp"
+#include "net/traffic.hpp"
 
 namespace empls::net {
 
@@ -40,9 +43,9 @@ struct EngineDecl {
   /// The first four are spelled by kEngineNames, in this order.
   enum class Kind : std::uint8_t { kLinear, kCam, kTrie, kHw, kSharded };
   Kind kind = Kind::kLinear;
-  /// Parallel worker shards of `sharded:<N>` (1..64); 0 otherwise.
+  /// Modelled datapaths of `sharded:<N>` (1..64); 0 otherwise.
   unsigned shards = 0;
-  /// `sharded:<N>:trie`: the shards run trie replicas, not linear ones.
+  /// `sharded:<N>:trie`: the model runs over a trie, not a linear engine.
   bool trie_replicas = false;
 };
 
@@ -97,15 +100,14 @@ struct LspViaTunnelDecl {
   int line = 0;  // source line, for the runner's diagnostics
 };
 
+/// `flow <kind> <id> <ingress> <dst> [opts]`: one scripted traffic
+/// source (net/traffic.hpp); the runner sets spec.ingress.
 struct FlowDecl {
-  std::string kind;  // cbr | poisson | video | onoff
-  std::uint32_t id = 0;
+  /// Listed in the parser's spelling order: cbr, poisson, video, onoff.
+  enum class Kind : std::uint8_t { kCbr, kPoisson, kVideo, kOnOff };
+  Kind kind = Kind::kCbr;
   std::string ingress;
-  std::string dst;  // dotted quad
-  std::uint8_t cos = 0;
-  std::size_t size = 160;
-  SimTime start = 0;
-  SimTime stop = 1.0;
+  FlowSpec spec;
   // kind-specific:
   SimTime interval = 20e-3;  // cbr
   double rate = 100;         // poisson / onoff packets per second
@@ -151,36 +153,20 @@ struct CorruptDecl {
 };
 
 /// `loadgen poisson|mmpp <ingress> <dst> [opts]`: open-loop offered
-/// load at scale (net/loadgen.hpp); the runner assigns each generator
-/// its own flow-id block and one shared FlowLedger.
+/// load at scale (net/loadgen.hpp); the runner sets config.ingress and
+/// gives each generator its own flow-id block (config.flow_id_base)
+/// and one shared FlowLedger.
 struct LoadGenDecl {
-  std::string kind;  // poisson | mmpp
   std::string ingress;
-  std::string dst;  // dotted quad
-  double rate_pps = 10000;
-  double burst_rate_pps = 0;  // mmpp burst state; 0 = 4x rate
-  SimTime sojourn = 100e-3;   // mmpp mean state dwell
-  std::size_t flows = 1024;
-  double alpha = 1.5;
-  unsigned min_packets = 4;
-  std::uint8_t cos = 0;
-  std::size_t size = 160;
-  std::uint64_t seed = 1;
-  SimTime start = 0;
-  SimTime stop = 1.0;
+  LoadGenConfig config;
 };
 
 /// `attack <kind> <time> <ingress> [opts]` (kind also spelled
-/// `attack=<kind>`): one seeded adversarial injection (net/attack.hpp).
+/// `attack=<kind>`): one seeded adversarial injection (net/attack.hpp);
+/// the runner sets spec.ingress.
 struct AttackDecl {
-  std::string kind;  // spoof | ttl_flood | reserved | exhaust
-  SimTime at = 0;
   std::string ingress;
-  double rate_pps = 10000;
-  SimTime duration = 0.5;
-  std::uint64_t seed = 1;
-  std::string dst;  // optional victim address (ttl_flood / exhaust)
-  std::uint8_t cos = 7;
+  AttackSpec spec;
 };
 
 /// `guard <router>|* [opts]`: arm the ingress guard on one router (or
@@ -247,9 +233,7 @@ class Scenario {
   struct PolicerDecl {
     std::string ingress;
     std::uint32_t flow_id = 0;
-    double rate_bps = 0;
-    double burst_bytes = 1500;
-    bool demote = false;
+    PolicerConfig config;
   };
 
   std::vector<FlowDecl> flows;

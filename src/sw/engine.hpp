@@ -12,7 +12,7 @@
 //                     information base (parallel compare, constant-time)
 //   * TrieEngine    — the million-entry FIB tier (patricia LPM + label
 //                     hash tables), linear-equivalent cycles to 1024 pairs
-//   * ShardedEngine — N worker shards over replicated engines
+//   * ShardedEngine — cost model of N parallel datapaths over one engine
 //
 // update() consumes a Packet, applies the information-base operation to
 // its label stack in place, and reports the outcome plus the modelled
@@ -131,9 +131,10 @@ class LabelEngine {
   /// packet exactly as the router's ingress does (sw::classify_level),
   /// so a batch may freely mix stack depths.  The base implementation is
   /// a correct sequential loop over update(); engines override it to
-  /// amortize per-call costs (HwEngine) or to process shards in parallel
-  /// (ShardedEngine).  Afterwards last_batch_makespan_cycles() reports
-  /// the modelled time the batch occupied the engine.
+  /// amortize per-call costs (HwEngine) or to charge each packet to a
+  /// modelled parallel datapath (ShardedEngine).  Afterwards
+  /// last_batch_makespan_cycles() reports the modelled time the batch
+  /// occupied the engine.
   virtual std::vector<UpdateOutcome> update_batch(
       std::span<mpls::Packet* const> packets, hw::RouterType router_type);
 

@@ -1,7 +1,7 @@
 // The label-update semantics shared by every software engine — a direct
 // transcription of the control unit's REMOVE TOP / UPDATE TTL /
-// VERIFY INFO / apply flow (Figure 9), factored out so the linear, hash
-// and CAM engines differ only in how they find the pair, never in what
+// VERIFY INFO / apply flow (Figure 9), factored out so the linear, CAM
+// and trie engines differ only in how they find the pair, never in what
 // they do with it.  Differential tests pin the hardware model to this
 // function.
 #pragma once

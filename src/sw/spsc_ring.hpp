@@ -1,13 +1,14 @@
 // Bounded lock-free single-producer / single-consumer ring queue — the
-// dispatcher→worker channel of the sharded forwarding plane.
+// cross-domain handoff channel of net::DomainRuntime (one ring per
+// (source, destination) domain pair).
 //
-// Exactly one thread may call try_push (the dispatcher) and exactly one
-// may call try_pop (the shard's worker).  Capacity is fixed at
-// construction and rounded up to a power of two; a full ring is the
-// backpressure signal (the dispatcher yields until the worker drains).
-// head_ counts pushes, tail_ counts pops; both grow monotonically and
-// are masked into the buffer, so full/empty are distinguishable without
-// a spare slot.
+// Exactly one thread may call try_push (the source domain) and exactly
+// one may call try_pop (the destination domain).  Capacity is fixed at
+// construction and rounded up to a power of two; a full ring makes
+// try_push return false (the runtime spills the burst to an overflow
+// vector).  head_ counts pushes, tail_ counts pops; both grow
+// monotonically and are masked into the buffer, so full/empty are
+// distinguishable without a spare slot.
 #pragma once
 
 #include <atomic>

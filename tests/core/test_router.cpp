@@ -3,7 +3,9 @@
 // packet tap, and the slow-path retry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/embedded_router.hpp"
 #include "hw/cycle_model.hpp"
@@ -286,6 +288,67 @@ TEST(Router, BacklogDrainsThroughBatchesOnAShardedEngine) {
             (stats.engine_batched_packets + 3) / 4 + 1);
   EXPECT_EQ(net.node_as<SinkNode>(sink_id).count, 12);
   EXPECT_GT(stats.engine_cycles, 0u);
+}
+
+// The sharded engine's makespan sets the router's batch latency.  Two
+// flows whose labels sit on different datapaths queue at t=0: the
+// first packet enters the engine alone, then each batch of 8 holds the
+// engine for its slowest datapath's cycle sum.  With one datapath that
+// is the serial sum, so two datapaths drain the same backlog sooner.
+TEST(Router, ShardedBatchHoldsTheEngineForItsSlowestDatapath) {
+  const auto drain = [](unsigned shards, rtl::u32 a, rtl::u32 b) {
+    net::Network net;
+    RouterConfig cfg;
+    cfg.clock_hz = 1e6;  // 1 us per cycle
+    cfg.engine_batch_size = 8;
+    auto engine = std::make_unique<sw::ShardedEngine>(shards);
+    const sw::ShardedEngine& model = *engine;
+    const auto router_id = net.add_node(
+        std::make_unique<EmbeddedRouter>("R", std::move(engine), cfg));
+    const auto sink_id = net.add_node(std::make_unique<SinkNode>("sink"));
+    // A fast link: the last batch's 7 transmissions add about 1 ns,
+    // far below the 1 us cycle.
+    net.connect(router_id, sink_id, 1e12, 0.0);
+    auto& router = net.node_as<EmbeddedRouter>(router_id);
+    router.routing().program_swap(2, a, 77, 0);  // entry 1
+    router.routing().program_swap(2, b, 78, 0);  // entry 2
+    const rtl::u64 cycles_a = hw::update_swap_cycles(1);
+    const rtl::u64 cycles_b = hw::update_swap_cycles(2);
+
+    std::vector<rtl::u32> labels;
+    for (int i = 0; i < 16; ++i) {
+      labels.push_back(i % 2 == 0 ? a : b);
+      net.inject(router_id, labeled(labels.back()));
+    }
+    net.run();
+    EXPECT_EQ(net.node_as<SinkNode>(sink_id).count, 16);
+
+    // The makespan model: packet 0 alone, then batches 1..8 and 9..15.
+    rtl::u64 want = cycles_a;
+    for (std::size_t first = 1; first < labels.size(); first += 8) {
+      std::vector<rtl::u64> loads(shards, 0);
+      for (std::size_t i = first; i < std::min(first + 8, labels.size());
+           ++i) {
+        loads[model.shard_of(2, labels[i])] +=
+            labels[i] == a ? cycles_a : cycles_b;
+      }
+      want += *std::max_element(loads.begin(), loads.end());
+    }
+    const double arrival = net.node_as<SinkNode>(sink_id).arrival_time;
+    EXPECT_NEAR(arrival, static_cast<double>(want) * 1e-6, 1e-8)
+        << shards << " datapaths";
+    return arrival;
+  };
+
+  // Two labels that two datapaths charge apart.
+  const sw::ShardedEngine two(2);
+  rtl::u32 b = 41;
+  while (two.shard_of(2, b) == two.shard_of(2, 40)) {
+    ++b;
+  }
+  const double parallel = drain(2, 40, b);
+  const double serial = drain(1, 40, b);
+  EXPECT_LT(parallel, serial);
 }
 
 }  // namespace

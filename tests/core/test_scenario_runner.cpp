@@ -102,7 +102,7 @@ flow cbr 1 A 10.9.0.1 interval=20ms stop=0.0599
 TEST(ScenarioRunner, ShardedEngineScenarioDeliversEverything) {
   // A fast flow into a slow-clocked sharded LSR: arrivals outpace the
   // engine, a backlog forms, and the router drains it in batches
-  // (batch=4) across the 2 worker shards.  Nothing may be lost and the
+  // (batch=4) charged to 2 modelled datapaths.  Nothing may be lost and the
   // transit hop must report modelled cycles like any hardware engine.
   const auto report = run_ok(R"(
 router A ler
@@ -119,6 +119,32 @@ run 0.1
   EXPECT_EQ(report.flows.flow(1).delivered, 100u);
   ASSERT_EQ(report.routers.size(), 3u);
   EXPECT_GT(report.routers[1].engine_cycles, 0u);
+}
+
+// A backlogged LSR whose engine batches: the sharded engine runs its
+// inner LinearEngine on the packets in order, so one datapath keeps
+// linear's books exactly, and per-packet service keeps them at any
+// datapath count.
+TEST(ScenarioRunner, ShardedEngineKeepsLinearBooks) {
+  const auto report = [](const std::string& engine) {
+    return run_ok(R"(
+router A ler
+router B lsr engine=)" + engine + R"( clock=1M
+router C ler
+link A B 1G 0.1ms
+link B C 1G 0.1ms
+lsp 10.4.0.0/16 A B C
+lsp 10.5.0.0/16 A B C
+flow cbr 1 A 10.4.0.9 interval=0.01ms stop=0.0005
+flow cbr 2 A 10.5.0.9 interval=0.01ms stop=0.0005
+run 0.1
+)")
+        .to_string();
+  };
+  const std::string batched = report("linear batch=8");
+  EXPECT_NE(batched.find("engine_cycles="), std::string::npos);
+  EXPECT_EQ(report("sharded:1 batch=8"), batched);
+  EXPECT_EQ(report("sharded:4 batch=1"), report("linear"));
 }
 
 TEST(ScenarioRunner, BadShardCountIsAParseError) {

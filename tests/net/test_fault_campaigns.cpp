@@ -3,9 +3,9 @@
 // information-base corruptions against a protected, auto-repairing
 // network.  No crash, and every flow conserves packets — anything not
 // delivered is an accounted drop, nothing vanishes.  Runs once on the
-// single-datapath golden engine and once on the sharded parallel plane
-// (which must keep the same books while batching through worker
-// threads; the TSan CI job runs this file for data-race coverage).
+// single-datapath golden engine and once on the sharded plane (which
+// must keep the same books while the router drains its backlog in
+// batches).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -235,8 +235,8 @@ INSTANTIATE_TEST_SUITE_P(Engines, CorruptionByEngine,
                          });
 
 // shards == 0 is the LinearEngine baseline; 1 / 4 exercise the sharded
-// plane's quiesce-under-reprogramming path (every corruption resync and
-// protection switch reprograms information bases mid-traffic).
+// plane's batches between reprogrammings (every corruption resync and
+// protection switch reprograms the information base mid-traffic).
 INSTANTIATE_TEST_SUITE_P(Engines, FaultCampaign,
                          ::testing::Values(0u, 1u, 4u),
                          [](const auto& info) {

@@ -324,27 +324,30 @@ TEST(ScenarioParser, ParsesOverloadDirectiveOptions) {
       << std::get<ScenarioError>(parsed).message;
   const auto& s = std::get<Scenario>(parsed);
   ASSERT_EQ(s.loadgens.size(), 1u);
-  const auto& g = s.loadgens[0];
-  EXPECT_EQ(g.kind, "mmpp");
+  EXPECT_EQ(s.loadgens[0].ingress, "A");
+  const auto& g = s.loadgens[0].config;
+  EXPECT_EQ(g.arrivals, LoadGenConfig::Arrivals::kMmpp);
+  EXPECT_EQ(g.dst, *mpls::Ipv4Address::parse("10.0.0.1"));
   EXPECT_DOUBLE_EQ(g.rate_pps, 5000);
   EXPECT_DOUBLE_EQ(g.burst_rate_pps, 20000);
-  EXPECT_DOUBLE_EQ(g.sojourn, 50e-3);
-  EXPECT_EQ(g.flows, 4096u);
-  EXPECT_DOUBLE_EQ(g.alpha, 1.3);
-  EXPECT_EQ(g.min_packets, 8u);
+  EXPECT_DOUBLE_EQ(g.mean_sojourn, 50e-3);
+  EXPECT_EQ(g.concurrent_flows, 4096u);
+  EXPECT_DOUBLE_EQ(g.pareto_alpha, 1.3);
+  EXPECT_EQ(g.pareto_min_packets, 8u);
   EXPECT_EQ(g.cos, 2);
-  EXPECT_EQ(g.size, 200u);
+  EXPECT_EQ(g.payload_bytes, 200u);
   EXPECT_EQ(g.seed, 42u);
   EXPECT_DOUBLE_EQ(g.start, 0.1);
   EXPECT_DOUBLE_EQ(g.stop, 2.0);
   ASSERT_EQ(s.attacks.size(), 1u);
-  const auto& a = s.attacks[0];
-  EXPECT_EQ(a.kind, "ttl_flood");
+  EXPECT_EQ(s.attacks[0].ingress, "A");
+  const auto& a = s.attacks[0].spec;
+  EXPECT_EQ(a.kind, AttackKind::kTtlFlood);
   EXPECT_DOUBLE_EQ(a.at, 0.25);
   EXPECT_DOUBLE_EQ(a.rate_pps, 9000);
   EXPECT_DOUBLE_EQ(a.duration, 0.1);
   EXPECT_EQ(a.seed, 6u);
-  EXPECT_EQ(a.dst, "10.9.0.1");
+  EXPECT_EQ(a.dst, *mpls::Ipv4Address::parse("10.9.0.1"));
   EXPECT_EQ(a.cos, 5);
   ASSERT_EQ(s.guards.size(), 1u);
   const auto& gd = s.guards[0];

@@ -92,9 +92,9 @@ run 1s
   EXPECT_EQ(s.tunnel_lsps[0].pre, (std::vector<std::string>{"A", "B"}));
   EXPECT_EQ(s.tunnel_lsps[0].tunnel, "T1");
   ASSERT_EQ(s.flows.size(), 4u);
-  EXPECT_EQ(s.flows[0].kind, "cbr");
-  EXPECT_DOUBLE_EQ(s.flows[0].start, 0.1);
-  EXPECT_EQ(s.flows[3].kind, "onoff");
+  EXPECT_EQ(s.flows[0].kind, FlowDecl::Kind::kCbr);
+  EXPECT_DOUBLE_EQ(s.flows[0].spec.start, 0.1);
+  EXPECT_EQ(s.flows[3].kind, FlowDecl::Kind::kOnOff);
   ASSERT_EQ(s.link_events.size(), 2u);
   EXPECT_FALSE(s.link_events[0].up);
   EXPECT_TRUE(s.link_events[1].up);
@@ -204,7 +204,7 @@ TEST(ScenarioParse, RejectsNonFiniteNumbers) {
       "router A ler\nrouter B ler\nlink A B 10k 1ms\n"
       "flow poisson 1 A 10.0.0.1 rate=500 seed=7 cos=3 start=1s\n");
   ASSERT_EQ(s.flows.size(), 1u);
-  EXPECT_EQ(s.flows[0].cos, 3);
+  EXPECT_EQ(s.flows[0].spec.cos, 3);
 }
 
 // An integer field takes only values its type holds: casting a finite
@@ -245,7 +245,7 @@ TEST(ScenarioParse, FlowIdsStayBelowTheReservedBlocks) {
   }
   const auto s = parse_ok("router A ler\nflow cbr 1073741823 A 10.0.0.1\n");
   ASSERT_EQ(s.flows.size(), 1u);
-  EXPECT_EQ(s.flows[0].id, 1073741823u);
+  EXPECT_EQ(s.flows[0].spec.flow_id, 1073741823u);
 }
 
 TEST(ScenarioParse, RejectsShortDeclarations) {
@@ -277,9 +277,9 @@ autorepair 20ms dead=5
   ASSERT_EQ(s.policers.size(), 1u);
   EXPECT_EQ(s.policers[0].ingress, "A");
   EXPECT_EQ(s.policers[0].flow_id, 7u);
-  EXPECT_DOUBLE_EQ(s.policers[0].rate_bps, 2e6);
-  EXPECT_DOUBLE_EQ(s.policers[0].burst_bytes, 3000);
-  EXPECT_TRUE(s.policers[0].demote);
+  EXPECT_DOUBLE_EQ(s.policers[0].config.rate_bps, 2e6);
+  EXPECT_DOUBLE_EQ(s.policers[0].config.burst_bytes, 3000);
+  EXPECT_EQ(s.policers[0].config.action, PolicerAction::kDemote);
   ASSERT_EQ(s.oam_probes.size(), 2u);
   EXPECT_FALSE(s.oam_probes[0].traceroute);
   EXPECT_TRUE(s.oam_probes[1].traceroute);

@@ -6,12 +6,9 @@
 // packet bursts.  The golden model is the test-owned array-of-structures
 // scan (aos_oracle.hpp), so LinearEngine's key-lane scan is one of the
 // engines under test.  Engines that mirror the hardware's linear-search
-// cost model (linear, trie, and the sharded plane whose replicas run
-// them) must also charge bit-identical Table 6 cycles; CAM intentionally
+// cost model (linear, trie, and the sharded plane over either of them)
+// must also charge bit-identical Table 6 cycles; CAM intentionally
 // costs differently, so only its semantics are compared.
-//
-// The sharded parameterization runs the batches through real worker
-// threads, which is why the TSan CI job includes this suite.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -49,7 +46,7 @@ std::unique_ptr<sw::LabelEngine> make_engine(const std::string& kind) {
   }
   if (kind == "sharded2trie") {
     return std::make_unique<sw::ShardedEngine>(
-        2, [] { return std::make_unique<sw::TrieEngine>(); });
+        2, std::make_unique<sw::TrieEngine>());
   }
   return nullptr;
 }
@@ -206,7 +203,7 @@ TEST_P(EngineDifferential, BatchesAgreeWithGoldenSequential) {
       ASSERT_EQ(a[i].stack, b[i].stack)
           << kind() << " round " << round << " packet " << i;
     }
-    // Reprogram between batches (the sharded plane quiesces here).
+    // Reprogram between batches.
     const unsigned level = 1 + rng() % 3;
     const auto pair = random_pair(rng, level);
     ASSERT_TRUE(engine->write_pair(level, pair));

@@ -174,14 +174,14 @@ TEST_P(ScenarioFuzz, DirectiveSoupNeverCrashes) {
       // Same contract for the overload directives: the runner sizes
       // flat arrays and token buckets straight from these fields.
       for (const auto& g : s.loadgens) {
-        EXPECT_GE(g.flows, 1u);
-        EXPECT_LE(g.flows, 1u << 24);
-        EXPECT_GT(g.alpha, 0.0);
-        EXPECT_GT(g.rate_pps, 0.0);
+        EXPECT_GE(g.config.concurrent_flows, 1u);
+        EXPECT_LE(g.config.concurrent_flows, 1u << 24);
+        EXPECT_GT(g.config.pareto_alpha, 0.0);
+        EXPECT_GT(g.config.rate_pps, 0.0);
       }
       for (const auto& a : s.attacks) {
-        EXPECT_GT(a.rate_pps, 0.0);
-        EXPECT_GT(a.duration, 0.0);
+        EXPECT_GT(a.spec.rate_pps, 0.0);
+        EXPECT_GT(a.spec.duration, 0.0);
       }
       for (const auto& g : s.guards) {
         EXPECT_TRUE(g.config.enabled);
